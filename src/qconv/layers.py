@@ -9,6 +9,13 @@ mutable state.
 Convolution layers apply every filter to every input channel
 independently; input channel c under filter f lands on output channel
 ``c * filters + f``, giving ``d * k`` output channels.
+
+`QuantumConv` does not simulate a circuit per window.  With the
+product-state encoding, each filter's output is exactly a trigonometric
+polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
+the layer computes the circuit-dependent coefficients once per call and
+evaluates every window with one matrix product.  The per-window
+simulator in `qconv.pqc` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -19,8 +26,12 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pqc import build_circuit, circuit_stages, encode_batch
-from .statevector import parity_signs, ry_amplitudes
+from .pqc import CircuitSpec, build_circuit
+from .statevector import cnot_amplitudes, parity_signs
+
+# Largest window QuantumConv accepts: its features have 3**n entries per window
+# and its {I, Z, X}^n basis 12**n entries, so memory grows steeply past this.
+MAX_WINDOW_QUBITS = 6
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,7 @@ def extract_windows(tensor: np.ndarray, window: WindowSpec) -> list[WindowPatch]
 
 def _batched_windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
     """All windows of a batch as (samples, channels, rows, cols, m, n)."""
+    output_shape(xb.shape[1:], window)
     p, s = window.padding, window.stride
     if p:
         xb = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0)))
@@ -121,27 +133,66 @@ def _merge_channels(feats: np.ndarray) -> np.ndarray:
     return np.moveaxis(feats, 1, 3).reshape(s, rows, cols, d * k)
 
 
-def _pulled_back_observables(tails: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Parity observable conjugated through circuit tails: T^T diag(signs) T, batched."""
-    return np.matmul(np.swapaxes(tails, -1, -2), signs[:, None] * tails)
+# I, Z and X.  An encoded qubit's density is (I + cos 2t Z + sin 2t X) / 2,
+# which fixes the (1, cos 2t, sin 2t) order of the features.
+_PAULI_IZX = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
 
-def _shift_difference_forms(observables: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Quadratic forms whose value at state x is f(x; +pi/4) - f(x; -pi/4).
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the trailing matrices, broadcast over leading axes."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
-    For the exact quarter-turn shift, the difference of the two
-    sandwiched observables collapses to the commutator [K, J_q], where
-    J_q is the Ry generator on qubit q (J_q equals Ry(pi/2) there).
-    Input is a (..., dim, dim) observable stack; the output gains a
-    qubit axis: (..., n_qubits, dim, dim).  Forms are symmetric.
+
+def _pauli_basis(n_qubits: int) -> np.ndarray:
+    """Every P in {I, Z, X}^n as rows of a (3**n, 4**n) array, qubit 0 leftmost."""
+    basis = np.ones((1, 1, 1))
+    for _ in range(n_qubits):
+        basis = _kron(basis[:, None], _PAULI_IZX)  # (3**q, 3, 2**(q+1), 2**(q+1))
+        basis = basis.reshape((-1,) + basis.shape[-2:])
+    return basis.reshape(basis.shape[0], -1)
+
+
+def _trig_features(t: np.ndarray) -> np.ndarray:
+    """phi(x) = (x)_q (1, cos 2t_q, sin 2t_q), qubit 0 leftmost: (W, n) -> (3**n, W)."""
+    windows = t.shape[0]
+    cos, sin = np.cos(2.0 * t), np.sin(2.0 * t)
+    phi = np.ones((1, windows))
+    for q in range(t.shape[1]):
+        factor = np.stack((np.ones(windows), cos[:, q], sin[:, q]))
+        phi = (phi[:, None, :] * factor[None]).reshape(-1, windows)
+    return phi
+
+
+def _block_gates(spec: CircuitSpec, angles: np.ndarray) -> np.ndarray:
+    """Ladder times Ry layer for every block and filter: (depth, filters, dim, dim)."""
+    n = spec.n_qubits
+    t = angles.reshape(angles.shape[0], spec.depth, n).transpose(1, 0, 2)
+    c, s = np.cos(t), np.sin(t)
+    ry = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
+    gates = ry[..., 0, :, :]
+    for q in range(1, n):
+        gates = _kron(gates, ry[..., q, :, :])
+    ladder = np.arange(2**n)  # the ladder permutes basis states: (L v)[i] = v[ladder[i]]
+    for control, target in spec.cnot_pairs:
+        ladder = cnot_amplitudes(ladder, n, control, target)
+    return gates[..., ladder, :]
+
+
+def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``Tr(z A_q m)`` for symmetric z, m and each qubit q: (F, dim, dim) -> (F, n).
+
+    A_q is the Ry generator on qubit q, which equals Ry(pi/2) there:
+    it maps that qubit's amplitudes (a0, a1) to (-a1, a0).
     """
-    quarter_turn = np.pi / 2.0
-    out = np.empty(observables.shape[:-2] + (n_qubits,) + observables.shape[-2:])
-    swapped = np.swapaxes(observables, -1, -2)
+    out = np.empty((z.shape[0], n_qubits))
     for q in range(n_qubits):
-        k_j = -ry_amplitudes(observables, n_qubits, q, quarter_turn)
-        j_k = np.swapaxes(ry_amplitudes(swapped, n_qubits, q, quarter_turn), -1, -2)
-        out[..., q, :, :] = k_j - j_k
+        split = z.shape[:-1] + (2**q, 2, -1)
+        zq, mq = z.reshape(split), m.reshape(split)
+        out[:, q] = (zq[..., 1, :] * mq[..., 0, :] - zq[..., 0, :] * mq[..., 1, :]).sum(
+            axis=(1, 2, 3)
+        )
     return out
 
 
@@ -150,17 +201,30 @@ class QuantumConv:
 
     Each output cell is the Z-parity expectation of the circuit run on
     the encoded window, so cells lie in [-1, 1] and no extra
-    nonlinearity is applied.  Backward evaluates the exact
-    parameter-shift difference for every (window, angle) pair; the
-    shifted evaluations are folded into per-angle quadratic forms over
-    the encoded windows, so the whole layer gradient is a handful of
-    matrix products instead of per-window circuit reruns.  Equality
-    with the per-window rule is pinned by tests.
+    nonlinearity is applied.  Because the encoding is a product state,
+    filter f's cell is exactly the trigonometric polynomial
+    ``c_f . phi(x)`` with ``phi(x) = (x)_q (1, cos 2t_q, sin 2t_q)``
+    (3**n entries) and ``c_f[P] = 2**-n Tr(O_f P)`` over
+    ``P in {I, Z, X}^n``, where ``O_f = U_f^T Z^n U_f`` is the parity
+    observable pulled back through the circuit.
+
+    Forward is one ``C @ Phi`` product over all windows.  The input
+    gradient differentiates phi factor by factor.  The angle gradient
+    is taken in adjoint order: the upstream gradient is contracted with
+    phi first, lifted to one matrix per filter, and carried forward
+    through the circuit blocks once, meeting the parity observable
+    pulled back to each block.  Equality with the per-window
+    parameter-shift rule is pinned by tests.
     """
 
     def __init__(self, window: WindowSpec, filters: int, depth: int, rng: np.random.Generator):
         if filters < 1:
             raise ValueError(f"filters must be >= 1, got {filters}")
+        if window.area > MAX_WINDOW_QUBITS:
+            raise ValueError(
+                f"quantum window {window.height}x{window.width} needs {window.area} qubits; "
+                f"MAX_WINDOW_QUBITS is {MAX_WINDOW_QUBITS}"
+            )
         self.window = window
         self.filters = filters
         self.circuit = build_circuit(window.area, depth)
@@ -176,52 +240,50 @@ class QuantumConv:
     def forward(self, xb: np.ndarray):
         win = _batched_windows(xb, self.window)
         s, d, rows, cols = win.shape[:4]
-        wvals = win.reshape(-1, self.window.area)
-        enc = encode_batch(wvals)
-        dim = enc.shape[1]
-        signs = parity_signs(self.circuit.n_qubits)
-        stages = [circuit_stages(self.circuit, a) for a in self.angles]
-        evolved = enc @ np.concatenate([st.unitary.T for st in stages], axis=1)
-        feats = (evolved * evolved).reshape(enc.shape[0], self.filters, dim) @ signs
+        n = self.circuit.n_qubits
+        gates = _block_gates(self.circuit, self.angles)
+        # parity observable pulled back through blocks depth-1 .. 0; observables[b]
+        # is what the state entering block b is measured against
+        observables = np.empty((self.circuit.depth, self.filters, 2**n, 2**n))
+        obs = np.broadcast_to(np.diag(parity_signs(n)), (self.filters, 2**n, 2**n))
+        for block in range(self.circuit.depth - 1, -1, -1):
+            g = gates[block]
+            obs = observables[block] = np.swapaxes(g, -1, -2) @ obs @ g
+        basis = _pauli_basis(n)
+        coeffs = obs.reshape(self.filters, -1) @ basis.T / 2**n  # Tr(O P) = sum(O * P), P = P^T
+        phi = _trig_features(win.reshape(-1, n))
+        feats = (coeffs @ phi).T
         out = _merge_channels(feats.reshape(s, d, rows, cols, self.filters))
-        cache = {"enc": enc, "stages": stages, "dims": (s, d, rows, cols), "in_shape": xb.shape}
+        cache = {"phi": phi, "coeffs": coeffs, "basis": basis, "gates": gates,
+                 "observables": observables, "dims": (s, d, rows, cols), "in_shape": xb.shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_input_grad: bool = True):
         s, d, rows, cols = cache["dims"]
-        enc, stages = cache["enc"], cache["stages"]
+        phi, coeffs = cache["phi"], cache["coeffs"]
         n = self.circuit.n_qubits
-        dim = enc.shape[1]
-        depth = self.circuit.depth
-        signs = parity_signs(n)
         u = _split_channels(upstream, d, self.filters).reshape(-1, self.filters)
-        # x^T F x for every window x and form F, via one product against x (x) x
-        pair_products = (enc[:, :, None] * enc[:, None, :]).reshape(-1, dim * dim)
 
-        dangles = np.zeros_like(self.angles)
-        if depth:
-            forms = np.empty((self.filters, depth, n, dim, dim))
-            for f, st in enumerate(stages):
-                pres = np.stack(st.pre)
-                comms = _shift_difference_forms(
-                    _pulled_back_observables(np.stack(st.post), signs), n
-                )
-                # conjugate each form through the circuit head so it acts
-                # directly on the encoded window
-                forms[f] = np.matmul(
-                    np.swapaxes(pres, -1, -2)[:, None], np.matmul(comms, pres[:, None])
-                )
-            shift_diffs = pair_products @ forms.reshape(-1, dim * dim).T
-            dangles = (shift_diffs.reshape(-1, self.filters, depth * n) * u[:, :, None]).sum(axis=0)
+        # d/dtheta sum_w u_wf f_f(x_w) = 2**(1-n) Tr(Z_b A_q M_b), with M the
+        # upstream-weighted encoded densities carried forward to block b
+        dangles = np.empty((self.filters, self.circuit.depth, n))
+        m = ((phi @ u).T @ cache["basis"]).reshape(self.filters, 2**n, 2**n)
+        for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
+            dangles[:, block] = _generator_traces(z, m, n)
+            m = g @ m @ np.swapaxes(g, -1, -2)
+        dangles = dangles.reshape(self.angles.shape) / 2 ** (n - 1)
 
         dx = None
         if need_input_grad:
-            comms = _shift_difference_forms(
-                _pulled_back_observables(np.stack([st.unitary for st in stages]), signs), n
-            )
-            shift_diffs = pair_products @ comms.reshape(-1, dim * dim).T
-            dwin = (shift_diffs.reshape(-1, self.filters, n) * u[:, :, None]).sum(axis=1)
-            dwin = dwin.reshape(s, d, rows, cols, self.window.height, self.window.width)
+            # d phi / d t_q maps qubit q's factor (1, c, s) to (0, -2s, 2c)
+            v = coeffs.T @ u.T
+            dwin = np.empty((n, phi.shape[1]))
+            for q in range(n):
+                vq = v.reshape(3**q, 3, -1, phi.shape[1])
+                pq = phi.reshape(vq.shape)
+                dwin[q] = 2.0 * (np.einsum("ajw,ajw->w", vq[:, 2], pq[:, 1])
+                                 - np.einsum("ajw,ajw->w", vq[:, 1], pq[:, 2]))
+            dwin = dwin.T.reshape(s, d, rows, cols, self.window.height, self.window.width)
             dx = _scatter_windows(dwin, self.window, cache["in_shape"])
         return [dangles], dx
 

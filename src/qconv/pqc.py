@@ -43,8 +43,6 @@ from .statevector import (
 # Exact shift for full-angle Ry parameters; gradient = f(+shift) - f(-shift).
 PARAM_SHIFT = np.pi / 4.0
 
-_LADDER_CACHE: dict[int, np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -108,17 +106,6 @@ def encode_window(values) -> Statevector:
     for qubit, angle in enumerate(w):
         state = apply_ry(state, qubit, angle)
     return state
-
-
-def encode_batch(windows: np.ndarray) -> np.ndarray:
-    """Encode rows of window values into real amplitude rows ``(B, 2**N)``."""
-    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    batch, n = w.shape
-    amps = np.ones((batch, 1))
-    for q in range(n):
-        pair = np.stack((np.cos(w[:, q]), np.sin(w[:, q])), axis=1)
-        amps = (amps[:, :, None] * pair[:, None, :]).reshape(batch, -1)
-    return amps
 
 
 def _evolve(amps: np.ndarray, spec: CircuitSpec, params: np.ndarray) -> np.ndarray:
@@ -186,60 +173,3 @@ def input_grad(spec: CircuitSpec, params, window) -> np.ndarray:
         minus = quantum_feature(spec, p, shifted)
         grad[q] = plus - minus
     return grad
-
-
-@dataclass
-class CircuitStages:
-    """Column-convention matrices for batched shifted evaluations.
-
-    For every block l: ``unitary == post[l] @ pre[l]``, where ``pre[l]``
-    runs everything up to and including the Ry layer of block l and
-    ``post[l]`` runs that block's CNOT ladder and all later blocks.
-    Inserting a single-qubit rotation between the two is exactly a
-    parameter shift of one angle in block l.
-    """
-
-    unitary: np.ndarray
-    pre: list[np.ndarray]
-    post: list[np.ndarray]
-
-
-def _ladder_matrix(n_qubits: int) -> np.ndarray:
-    cached = _LADDER_CACHE.get(n_qubits)
-    if cached is None:
-        rows = np.eye(2**n_qubits)
-        for control in range(n_qubits - 1):
-            rows = cnot_amplitudes(rows, n_qubits, control, control + 1)
-        cached = rows.T
-        cached.setflags(write=False)
-        _LADDER_CACHE[n_qubits] = cached
-    return cached
-
-
-def _ry_layer_matrix(n_qubits: int, angles: np.ndarray) -> np.ndarray:
-    rows = np.eye(2**n_qubits)
-    for q in range(n_qubits):
-        rows = ry_amplitudes(rows, n_qubits, q, angles[q])
-    return rows.T
-
-
-def circuit_stages(spec: CircuitSpec, params) -> CircuitStages:
-    """Split the circuit around each Ry layer for batched parameter shifts."""
-    p = _checked_params(spec, params)
-    dim = 2**spec.n_qubits
-    if spec.depth == 0:
-        return CircuitStages(np.eye(dim), [], [])
-    angles = p.reshape(spec.depth, spec.n_qubits)
-    ladder = _ladder_matrix(spec.n_qubits)
-    ry_layers = [_ry_layer_matrix(spec.n_qubits, angles[block]) for block in range(spec.depth)]
-    pre: list[np.ndarray] = []
-    running = np.eye(dim)
-    for block in range(spec.depth):
-        g = ry_layers[block] @ running
-        pre.append(g)
-        running = ladder @ g
-    post: list[np.ndarray] = [np.empty(0)] * spec.depth
-    post[spec.depth - 1] = ladder
-    for block in range(spec.depth - 2, -1, -1):
-        post[block] = post[block + 1] @ ry_layers[block + 1] @ ladder
-    return CircuitStages(running, pre, post)

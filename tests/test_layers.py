@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconv.layers import (
+    MAX_WINDOW_QUBITS,
     ClassicalConv,
     Dense,
     MaxPool,
@@ -55,6 +58,28 @@ def test_window_spec_validation():
         WindowSpec(2, 2, stride=0)
     with pytest.raises(ValueError):
         WindowSpec(2, 2, padding=-1)
+
+
+def test_conv_forwards_reject_bad_geometry():
+    rng = np.random.default_rng(9)
+    strided = WindowSpec(2, 2, stride=2)
+    for layer in (QuantumConv(strided, filters=1, depth=1, rng=rng),
+                  ClassicalConv(strided, filters=1, rng=rng)):
+        with pytest.raises(ValueError, match="does not tile"):
+            layer.forward(np.zeros((1, 3, 3, 1)))
+    for layer in (QuantumConv(WIN, filters=1, depth=1, rng=rng),
+                  ClassicalConv(WIN, filters=1, rng=rng)):
+        with pytest.raises(ValueError, match="larger than padded input"):
+            layer.forward(np.zeros((1, 1, 2, 1)))
+
+
+def test_quantum_conv_rejects_window_past_qubit_limit():
+    assert MAX_WINDOW_QUBITS == 6
+    rng = np.random.default_rng(10)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"3x3 needs 9 qubits; MAX_WINDOW_QUBITS is 6"):
+        QuantumConv(WindowSpec(3, 3), filters=1, depth=1, rng=rng)
+    assert rng.bit_generator.state == before  # rejected before drawing any angle
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +135,18 @@ def test_quantum_conv_zero_everything_gives_ones():
 
 def test_quantum_conv_cells_match_standalone_features():
     rng = np.random.default_rng(2)
-    layer = QuantumConv(WIN, filters=3, depth=2, rng=rng)
-    x = rng.random((2, 3, 3, 2))
-    out, _ = layer.forward(x)
-    assert out.shape == (2, 2, 2, 6)
-    assert np.all(out >= -1.0) and np.all(out <= 1.0)
-    for s in range(2):
-        for patch in extract_windows(x[s], WIN):
-            for f in range(3):
-                want = quantum_feature(layer.circuit, layer.angles[f], patch.values.ravel())
-                got = out[s, patch.row, patch.col, patch.channel * 3 + f]
-                assert got == pytest.approx(want, abs=1e-12)
+    for window in (WIN, WindowSpec(2, 3)):
+        layer = QuantumConv(window, filters=3, depth=2, rng=rng)
+        x = rng.random((2, 3, window.width + 1, 2))
+        out, _ = layer.forward(x)
+        assert out.shape == (2, 2, 2, 6)
+        assert np.all(out >= -1.0) and np.all(out <= 1.0)
+        for s in range(2):
+            for patch in extract_windows(x[s], window):
+                for f in range(3):
+                    want = quantum_feature(layer.circuit, layer.angles[f], patch.values.ravel())
+                    got = out[s, patch.row, patch.col, patch.channel * 3 + f]
+                    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_quantum_conv_backward_zero_upstream():
@@ -151,24 +177,66 @@ def test_quantum_conv_single_window_matches_shift_rule():
 
 def test_quantum_conv_backward_matches_per_window_accumulation():
     rng = np.random.default_rng(5)
-    layer = QuantumConv(WIN, filters=2, depth=3, rng=rng)
-    x = rng.random((2, 3, 3, 2))
+    for window in (WIN, WindowSpec(2, 3)):
+        m, n = window.height, window.width
+        layer = QuantumConv(window, filters=2, depth=3, rng=rng)
+        x = rng.random((2, 3, n + 1, 2))
+        out, cache = layer.forward(x)
+        upstream = rng.standard_normal(out.shape)
+        (dangles,), dx = layer.backward(upstream, cache)
+        want_angles = np.zeros_like(dangles)
+        want_dx = np.zeros_like(x)
+        for s in range(2):
+            for patch in extract_windows(x[s], window):
+                values = patch.values.ravel()
+                for f in range(2):
+                    u = upstream[s, patch.row, patch.col, patch.channel * 2 + f]
+                    want_angles[f] += u * param_shift_grad(layer.circuit, layer.angles[f], values)
+                    grad = u * input_grad(layer.circuit, layer.angles[f], values)
+                    want_dx[s, patch.row : patch.row + m, patch.col : patch.col + n,
+                            patch.channel] += grad.reshape(m, n)
+        np.testing.assert_allclose(dangles, want_angles, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 4)]),
+    depth=st.integers(0, 4),
+    filters=st.integers(1, 3),
+    samples=st.integers(1, 2),
+    channels=st.integers(1, 2),
+    extra=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantum_conv_matches_dense_oracle(shape, depth, filters, samples, channels, extra, seed):
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    window = WindowSpec(m, n)
+    layer = QuantumConv(window, filters=filters, depth=depth, rng=rng)
+    spec = layer.circuit
+    x = rng.uniform(0.0, np.pi, (samples, m + extra, n + extra, channels))
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.shape)
     (dangles,), dx = layer.backward(upstream, cache)
+    assert dangles.shape == (filters, spec.n_qubits * depth)
     want_angles = np.zeros_like(dangles)
     want_dx = np.zeros_like(x)
-    for s in range(2):
-        for patch in extract_windows(x[s], WIN):
+    for s in range(samples):
+        for patch in extract_windows(x[s], window):
             values = patch.values.ravel()
-            for f in range(2):
-                u = upstream[s, patch.row, patch.col, patch.channel * 2 + f]
-                want_angles[f] += u * param_shift_grad(layer.circuit, layer.angles[f], values)
-                grad = u * input_grad(layer.circuit, layer.angles[f], values)
-                want_dx[s, patch.row : patch.row + 2, patch.col : patch.col + 2,
-                        patch.channel] += grad.reshape(2, 2)
-    np.testing.assert_allclose(dangles, want_angles, atol=1e-12)
-    np.testing.assert_allclose(dx, want_dx, atol=1e-12)
+            for f in range(filters):
+                cell = (s, patch.row, patch.col, patch.channel * filters + f)
+                params = layer.angles[f]
+                assert out[cell] == pytest.approx(oracles.feature(spec, params, values), abs=1e-12)
+                want_angles[f] += upstream[cell] * oracles.central_difference(
+                    lambda p: oracles.feature(spec, p, values), params)
+                grad = upstream[cell] * oracles.central_difference(
+                    lambda w: oracles.feature(spec, params, w), values)
+                want_dx[s, patch.row : patch.row + m, patch.col : patch.col + n,
+                        patch.channel] += grad.reshape(m, n)
+    np.testing.assert_allclose(dangles, want_angles, atol=1e-6)
+    np.testing.assert_allclose(dx, want_dx, atol=1e-6)
 
 
 def test_quantum_conv_finite_difference_on_scalar_surrogate():

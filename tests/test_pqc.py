@@ -6,8 +6,6 @@ import pytest
 from qconv.pqc import (
     PARAM_SHIFT,
     build_circuit,
-    circuit_stages,
-    encode_batch,
     encode_window,
     input_grad,
     param_shift_grad,
@@ -70,17 +68,6 @@ def test_encode_matches_kronecker_oracle():
     )
 
 
-def test_encode_batch_matches_single_encoding():
-    rng = np.random.default_rng(23)
-    windows = rng.uniform(-np.pi, np.pi, size=(8, 4))
-    batch = encode_batch(windows)
-    assert batch.dtype == np.float64
-    for row in range(8):
-        np.testing.assert_allclose(
-            batch[row], encode_window(windows[row]).amplitudes.real, atol=1e-14
-        )
-
-
 def test_encode_rejects_non_finite():
     with pytest.raises(ValueError):
         encode_window([0.0, np.nan])
@@ -127,19 +114,6 @@ def test_run_circuit_matches_dense_unitary_oracle():
 def test_run_circuit_rejects_wrong_param_count():
     with pytest.raises(ValueError):
         run_circuit(build_circuit(3, 2), np.zeros(5), init_state(3))
-
-
-def test_stage_decomposition_reassembles_the_unitary():
-    rng = np.random.default_rng(41)
-    spec = build_circuit(4, 4)
-    params = rng.uniform(0, 2 * np.pi, spec.param_count)
-    stages = circuit_stages(spec, params)
-    want = oracles.circuit_unitary(spec, params)
-    np.testing.assert_allclose(stages.unitary, want.real, atol=1e-12)
-    for block in range(spec.depth):
-        np.testing.assert_allclose(
-            stages.post[block] @ stages.pre[block], stages.unitary, atol=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------
