@@ -1,22 +1,13 @@
 """Hybrid quantum-classical convolutional neural network.
 
-Exact dense statevector simulation of a small Ry/CNOT parametric
-circuit, used as a convolution feature map inside an otherwise
-classical network, trained end to end with parameter-shift gradients,
+A small Ry/CNOT parametric circuit, evaluated exactly in closed form,
+used as a convolution feature map inside an otherwise classical
+network, trained end to end by backpropagating its analytic gradients,
 and benchmarked against a matched classical CNN on a procedural 3x3
 Tetris dataset.
 """
 
-from .statevector import Statevector, apply_cnot, apply_ry, expectation_z_all, init_state
-from .pqc import (
-    CircuitSpec,
-    build_circuit,
-    encode_window,
-    input_grad,
-    param_shift_grad,
-    quantum_feature,
-    run_circuit,
-)
+from .pqc import CircuitSpec, build_circuit
 from .layers import (
     ClassicalConv,
     Dense,
@@ -24,8 +15,6 @@ from .layers import (
     Network,
     QuantumConv,
     WindowSpec,
-    extract_windows,
-    mse_loss,
     output_shape,
 )
 from .tetris import (
@@ -56,11 +45,9 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Statevector", "init_state", "apply_ry", "apply_cnot", "expectation_z_all",
-    "CircuitSpec", "build_circuit", "encode_window", "run_circuit",
-    "quantum_feature", "param_shift_grad", "input_grad",
-    "WindowSpec", "output_shape", "extract_windows",
-    "QuantumConv", "ClassicalConv", "MaxPool", "Dense", "Network", "mse_loss",
+    "CircuitSpec", "build_circuit",
+    "WindowSpec", "output_shape",
+    "QuantumConv", "ClassicalConv", "MaxPool", "Dense", "Network",
     "CLASS_NAMES", "Sample", "Dataset", "enumerate_configurations",
     "generate_dataset", "split", "filter_labels", "save_dataset", "load_dataset",
     "AdamState", "init_adam", "adam_step", "TrainConfig", "MetricsRecord",

@@ -5,8 +5,8 @@ Subcommands:
     gen-data    write a Tetris dataset file (JSON lines)
     train       train one model/architecture/label combination, write a
                 metrics CSV and a summary JSON
-    gradcheck   compare parameter-shift gradients against central finite
-                differences on randomized circuits
+    gradcheck   compare QuantumConv's backward-pass gradients against
+                central finite differences on randomized layers
     repro       run every model/architecture combination for the selected
                 panels and write one CSV per panel plus a summary JSON
 
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pqc import PARAM_SHIFT, build_circuit, input_grad, param_shift_grad, quantum_feature
+from .layers import QuantumConv, WindowSpec
 from .tetris import CLASS_NAMES, enumerate_configurations, filter_labels, generate_dataset, save_dataset
 from .training import (
     ARCHITECTURES,
@@ -293,60 +293,43 @@ def _central_difference(fn, values: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 def run_gradient_check(cases: int, seed: int, depth: int | None = None,
-                       inject_shift: float | None = None,
                        tolerance: float = GRADCHECK_TOLERANCE) -> dict:
-    """Randomized parameter-shift vs finite-difference comparison.
+    """Randomized check of `QuantumConv.backward` against central differences.
 
-    ``inject_shift`` deliberately replaces the quarter-turn shift in the
-    checked rule, for verifying that the check itself catches a wrong
-    shift; production gradients always use the exact value.
+    Each case is a random layer (1x2 or 2x2 window, 1-3 filters) on one
+    input a row and a column larger than the window, so that windows
+    overlap, with a random upstream gradient u.  ``backward``'s angle and
+    input gradients are compared with central differences of
+    ``sum(u * forward(x))``, the scalar they are the gradient of.
     """
     rng = np.random.default_rng(seed)
     worst = {"deviation": 0.0, "case": None, "n_qubits": None, "depth": None, "kind": None}
-
-    def shifted_rule(spec, params, window, shift):
-        grads_p = np.empty(spec.param_count)
-        for j in range(spec.param_count):
-            p = params.copy()
-            p[j] = params[j] + shift
-            up = quantum_feature(spec, p, window)
-            p[j] = params[j] - shift
-            down = quantum_feature(spec, p, window)
-            grads_p[j] = up - down
-        grads_w = np.empty(spec.n_qubits)
-        for q in range(spec.n_qubits):
-            w = window.copy()
-            w[q] = window[q] + shift
-            up = quantum_feature(spec, params, w)
-            w[q] = window[q] - shift
-            down = quantum_feature(spec, params, w)
-            grads_w[q] = up - down
-        return grads_p, grads_w
-
     for case in range(cases):
-        n = int(rng.choice([2, 4]))
+        window = WindowSpec(*((1, 2), (2, 2))[int(rng.integers(2))])
         d = depth if depth is not None else int(rng.integers(1, 5))
-        spec = build_circuit(n, d)
-        params = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
-        window = rng.uniform(0.0, 2.0 * np.pi, n)
-        if inject_shift is None:
-            got_p = param_shift_grad(spec, params, window)
-            got_w = input_grad(spec, params, window)
-        else:
-            got_p, got_w = shifted_rule(spec, params, window, inject_shift)
-        fd_p = _central_difference(lambda p: quantum_feature(spec, p, window), params)
-        fd_w = _central_difference(lambda w: quantum_feature(spec, params, w), window)
-        for kind, got, want in (("parameter", got_p, fd_p), ("input", got_w, fd_w)):
+        layer = QuantumConv(window, int(rng.integers(1, 4)), d, rng)
+        x = rng.uniform(0.0, 2.0 * np.pi, (1, window.height + 1, window.width + 1, 1))
+        out, cache = layer.forward(x)
+        upstream = rng.standard_normal(out.shape)
+        (got_p,), got_x = layer.backward(upstream, cache)
+        angles = layer.angles
+
+        def weighted_output(flat_angles, flat_x):
+            layer.angles = flat_angles.reshape(angles.shape)
+            return float(np.sum(upstream * layer.forward(flat_x.reshape(x.shape))[0]))
+
+        fd_p = _central_difference(lambda a: weighted_output(a, x.ravel()), angles.ravel())
+        fd_x = _central_difference(lambda v: weighted_output(angles.ravel(), v), x.ravel())
+        for kind, got, want in (("parameter", got_p.ravel(), fd_p), ("input", got_x.ravel(), fd_x)):
             if got.size == 0:
                 continue
             deviation = float(np.max(np.abs(got - want)))
             if deviation > worst["deviation"]:
-                worst = {"deviation": deviation, "case": case, "n_qubits": n, "depth": d,
-                         "kind": kind}
+                worst = {"deviation": deviation, "case": case, "n_qubits": window.area,
+                         "depth": d, "kind": kind}
     return {
         "cases": cases,
         "tolerance": tolerance,
-        "shift": PARAM_SHIFT if inject_shift is None else inject_shift,
         "max_deviation": worst["deviation"],
         "worst": worst,
         "passed": worst["deviation"] <= tolerance,
@@ -358,9 +341,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ConfigError(f"cases: must be >= 1, got {args.cases}")
     if args.depth is not None and args.depth < 0:
         raise ConfigError(f"depth: must be >= 0, got {args.depth}")
-    report = run_gradient_check(args.cases, args.seed, depth=args.depth,
-                                inject_shift=args.inject_shift)
-    print(f"gradcheck: {report['cases']} random circuits, shift {report['shift']:.6f} rad")
+    report = run_gradient_check(args.cases, args.seed, depth=args.depth)
+    print(f"gradcheck: {report['cases']} random circuits, QuantumConv backward")
     print(f"max deviation vs central finite differences: {report['max_deviation']:.3e} "
           f"(tolerance {report['tolerance']:.1e})")
     if report["passed"]:
@@ -485,13 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_experiment_flags(tr)
     tr.set_defaults(func=cmd_train)
 
-    gc = sub.add_parser("gradcheck", help="parameter-shift vs finite differences")
+    gc = sub.add_parser("gradcheck", help="QuantumConv gradients vs finite differences")
     gc.add_argument("--cases", type=int, default=200, help="random circuits (default 200)")
     gc.add_argument("--seed", type=int, default=0, help="case generator seed (default 0)")
     gc.add_argument("--depth", type=int, default=None,
                     help="fix the circuit depth (default: random 1..4)")
-    gc.add_argument("--inject-shift", dest="inject_shift", type=float, default=None,
-                    help="fault injection: replace the exact pi/4 shift in the checked rule")
     gc.set_defaults(func=cmd_gradcheck)
 
     rp = sub.add_parser("repro", help="reproduce the four benchmark panels")

@@ -14,20 +14,20 @@ independently; input channel c under filter f lands on output channel
 product-state encoding, each filter's output is exactly a trigonometric
 polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
 the layer computes the circuit-dependent coefficients once per call and
-evaluates every window with one matrix product.  The per-window
-simulator in `qconv.pqc` is the reference it is tested against.
+evaluates every window with one matrix product.  It is the package's
+only circuit evaluator; the tests check it against dense-matrix
+oracles, and ``qconv gradcheck`` checks its gradients against finite
+differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pqc import CircuitSpec, build_circuit
-from .statevector import cnot_amplitudes, parity_signs
+from .pqc import CircuitSpec, build_circuit, ladder_permutation, parity_signs
 
 # Largest window QuantumConv accepts: its features have 3**n entries per window
 # and its {I, Z, X}^n basis 12**n entries, so memory grows steeply past this.
@@ -71,29 +71,6 @@ def output_shape(input_shape, window: WindowSpec, filters: int = 1) -> tuple[int
             f"with window {window.height}x{window.width}, padding {window.padding}"
         )
     return (rows_span // window.stride + 1, cols_span // window.stride + 1, d * filters)
-
-
-class WindowPatch(NamedTuple):
-    row: int
-    col: int
-    channel: int
-    values: np.ndarray
-
-
-def extract_windows(tensor: np.ndarray, window: WindowSpec) -> list[WindowPatch]:
-    """Enumerate windows channel by channel, left-to-right then top-to-bottom."""
-    x = np.asarray(tensor, dtype=np.float64)
-    rows, cols, _ = output_shape(x.shape, window)
-    p, s = window.padding, window.stride
-    if p:
-        x = np.pad(x, ((p, p), (p, p), (0, 0)))
-    out = []
-    for c in range(x.shape[2]):
-        for i in range(rows):
-            for j in range(cols):
-                patch = x[i * s : i * s + window.height, j * s : j * s + window.width, c]
-                out.append(WindowPatch(i, j, c, patch.copy()))
-    return out
 
 
 def _batched_windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
@@ -174,10 +151,7 @@ def _block_gates(spec: CircuitSpec, angles: np.ndarray) -> np.ndarray:
     gates = ry[..., 0, :, :]
     for q in range(1, n):
         gates = _kron(gates, ry[..., q, :, :])
-    ladder = np.arange(2**n)  # the ladder permutes basis states: (L v)[i] = v[ladder[i]]
-    for control, target in spec.cnot_pairs:
-        ladder = cnot_amplitudes(ladder, n, control, target)
-    return gates[..., ladder, :]
+    return gates[..., ladder_permutation(spec), :]
 
 
 def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -213,8 +187,9 @@ class QuantumConv:
     is taken in adjoint order: the upstream gradient is contracted with
     phi first, lifted to one matrix per filter, and carried forward
     through the circuit blocks once, meeting the parity observable
-    pulled back to each block.  Equality with the per-window
-    parameter-shift rule is pinned by tests.
+    pulled back to each block.  Both gradients satisfy the quarter-turn
+    shift rule ``df/dt = f(t + pi/4) - f(t - pi/4)`` exactly, which the
+    tests check.
     """
 
     def __init__(self, window: WindowSpec, filters: int, depth: int, rng: np.random.Generator):
@@ -258,7 +233,7 @@ class QuantumConv:
                  "observables": observables, "dims": (s, d, rows, cols), "in_shape": xb.shape}
         return out, cache
 
-    def backward(self, upstream: np.ndarray, cache, need_input_grad: bool = True):
+    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         s, d, rows, cols = cache["dims"]
         phi, coeffs = cache["phi"], cache["coeffs"]
         n = self.circuit.n_qubits
@@ -274,7 +249,7 @@ class QuantumConv:
         dangles = dangles.reshape(self.angles.shape) / 2 ** (n - 1)
 
         dx = None
-        if need_input_grad:
+        if need_dx:
             # d phi / d t_q maps qubit q's factor (1, c, s) to (0, -2s, 2c)
             v = coeffs.T @ u.T
             dwin = np.empty((n, phi.shape[1]))
@@ -315,14 +290,14 @@ class ClassicalConv:
         cache = {"win": win, "z": z, "in_shape": xb.shape}
         return out, cache
 
-    def backward(self, upstream: np.ndarray, cache, need_input_grad: bool = True):
+    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         win, z = cache["win"], cache["z"]
         u = _split_channels(upstream, win.shape[1], self.filters)
         if self.relu:
             u = u * (z > 0.0)  # subgradient 0 at exactly 0
         dw = np.einsum("sdijf,sdijmn->fmn", u, win)
         dx = None
-        if need_input_grad:
+        if need_dx:
             dwin = np.einsum("sdijf,fmn->sdijmn", u, self.weights)
             dx = _scatter_windows(dwin, self.window, cache["in_shape"])
         return [dw], dx
@@ -358,8 +333,8 @@ class MaxPool:
         cache = {"argmax": argmax, "in_shape": xb.shape}
         return out, cache
 
-    def backward(self, upstream: np.ndarray, cache, need_input_grad: bool = True):
-        if not need_input_grad:
+    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
+        if not need_dx:
             return [], None
         samples, v, h, d = cache["in_shape"]
         p, s = self.window.padding, self.window.stride
@@ -402,25 +377,13 @@ class Dense:
         cache = {"flat": flat, "in_shape": xb.shape}
         return out, cache
 
-    def backward(self, upstream: np.ndarray, cache, need_input_grad: bool = True):
+    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         dw = upstream.T @ cache["flat"]
         db = upstream.sum(axis=0)
         dx = None
-        if need_input_grad:
+        if need_dx:
             dx = (upstream @ self.weights).reshape(cache["in_shape"])
         return [dw, db], dx
-
-
-def mse_loss(pred, target) -> tuple[float, np.ndarray]:
-    """Mean squared error over the class axis and its gradient in pred."""
-    p = np.asarray(pred, dtype=np.float64).ravel()
-    t = np.asarray(target, dtype=np.float64).ravel()
-    if p.size != t.size:
-        raise ValueError(f"prediction has {p.size} entries, target has {t.size}")
-    if p.size == 0:
-        raise ValueError("empty prediction")
-    diff = p - t
-    return float(diff @ diff) / p.size, (2.0 / p.size) * diff
 
 
 def mse_loss_batch(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -450,16 +413,11 @@ class Network:
             caches.append(cache)
         return out, caches
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Single-sample prediction for a (height, width, channels) tensor."""
-        out, _ = self.forward_batch(np.asarray(x, dtype=np.float64)[None])
-        return out[0]
-
-    def backward_batch(self, dpred: np.ndarray, caches, need_input_grad: bool = False):
+    def backward_batch(self, dpred: np.ndarray, caches, need_dx: bool = False):
         grads: list[list[np.ndarray]] = [None] * len(self.layers)
         upstream = dpred
         for i in range(len(self.layers) - 1, -1, -1):
-            want_dx = need_input_grad or i > 0
+            want_dx = need_dx or i > 0
             layer_grads, upstream = self.layers[i].backward(upstream, caches[i], want_dx)
             grads[i] = layer_grads
         flat = [g for layer_grads in grads for g in layer_grads]

@@ -3,15 +3,11 @@
 An experiment seed drives dataset generation, the 80/20 split, and
 parameter initialisation through three child seeds derived with
 numpy's SeedSequence, so repeating a seed list reproduces every number
-exactly.  Seeds run independently; the QCONV_THREADS environment
-variable caps how many run concurrently (0 or unset = one worker per
-CPU), and results are assembled in seed order either way.
+exactly.  Seeds run one after another, in the order given.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,19 +192,6 @@ def seed_children(seed: int) -> tuple[int, int, int]:
     return int(a), int(b), int(c)
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("QCONV_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"QCONV_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValueError(f"QCONV_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def _mean_records(per_seed: list[list[MetricsRecord]]) -> list[MetricsRecord]:
     out = []
     for i in range(len(per_seed[0])):
@@ -244,12 +227,7 @@ def run_experiment(architecture: str, model: str, labels: int, config: TrainConf
         net = build_network(model, architecture, labels, init_seed)
         return train(net, train_set, test_set, config)
 
-    workers = _worker_count(len(config.seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(run_seed, config.seeds))
-    else:
-        per_seed = [run_seed(s) for s in config.seeds]
+    per_seed = [run_seed(s) for s in config.seeds]
     return ExperimentResult(
         model, architecture, labels, tuple(config.seeds), per_seed, _mean_records(per_seed)
     )

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check production code against.
 
 Everything here is built the slow, obvious way: gate matrices embedded
-with explicit Kronecker products, convolutions as nested loops, and
-gradients as central finite differences.  None of it shares code with
+with explicit Kronecker products, convolutions and window enumeration
+as nested loops, and gradients as central finite differences or
+explicit quarter-turn shifts.  None of it shares code with
 the library paths it verifies.
 """
 
@@ -82,6 +83,42 @@ def central_difference(fn, values: np.ndarray, h: float = 1e-5) -> np.ndarray:
         shifted[j] = values[j] - h
         grad[j] = (up - fn(shifted)) / (2.0 * h)
     return grad
+
+
+def shift_difference(fn, values: np.ndarray) -> np.ndarray:
+    """Exact quarter-turn rule fn(v + pi/4) - fn(v - pi/4), one entry at a time.
+
+    Every circuit angle and every encoded value enters the feature with
+    frequency 2 (Ry takes the full angle), so this is its exact derivative.
+    """
+    values = np.asarray(values, dtype=float)
+    grad = np.empty(values.size)
+    for j in range(values.size):
+        shifted = values.copy()
+        shifted[j] = values[j] + np.pi / 4
+        up = fn(shifted)
+        shifted[j] = values[j] - np.pi / 4
+        grad[j] = up - fn(shifted)
+    return grad
+
+
+def windows(image: np.ndarray, window) -> list:
+    """(row, col, channel, values) of every window of one (v, h, d) image.
+
+    Channel by channel, then row by row, left to right; ``values`` is the
+    zero-padded patch flattened row-major, qubit 0 first.
+    """
+    p, s = window.padding, window.stride
+    if p:
+        image = np.pad(image, ((p, p), (p, p), (0, 0)))
+    v, h, d = image.shape
+    out = []
+    for c in range(d):
+        for i in range((v - window.height) // s + 1):
+            for j in range((h - window.width) // s + 1):
+                patch = image[i * s : i * s + window.height, j * s : j * s + window.width, c]
+                out.append((i, j, c, patch.ravel()))
+    return out
 
 
 def naive_conv(image: np.ndarray, weights: np.ndarray, stride: int = 1,

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from qconv.cli import main
-from qconv.layers import Dense, MaxPool, Network, QuantumConv, WindowSpec
-from qconv.pqc import build_circuit, param_shift_grad, quantum_feature, run_circuit
-from qconv.statevector import Statevector
+from qconv.layers import Dense, MaxPool, Network, QuantumConv, WindowSpec, _block_gates
+from qconv.pqc import build_circuit
 from qconv.tetris import enumerate_configurations, generate_dataset
 from qconv.training import TrainConfig, build_network, run_experiment
 
@@ -43,17 +42,25 @@ def test_criterion_1_gradient_exactness():
     worst = 0.0
     for _ in range(200):
         n = int(rng.choice([2, 4]))
-        spec = build_circuit(n, int(rng.integers(1, 5)))
-        params = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
-        window = rng.uniform(0.0, 2.0 * np.pi, n)
-        got = param_shift_grad(spec, params, window)
-        want = oracles.central_difference(lambda p: quantum_feature(spec, p, window), params)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        depth = int(rng.integers(1, 5))
+        layer = QuantumConv(WindowSpec(n // 2, 2), 1, depth, np.random.default_rng(0))
+        params = rng.uniform(0.0, 2.0 * np.pi, layer.angles.size)
+        x = rng.uniform(0.0, 2.0 * np.pi, n).reshape(1, n // 2, 2, 1)
+
+        def forward(p):
+            layer.angles = p.reshape(1, -1)
+            return layer.forward(x)
+
+        out, cache = forward(params)
+        (got,), _ = layer.backward(np.ones_like(out), cache)
+        want = oracles.central_difference(lambda p: forward(p)[0].item(), params)
+        worst = max(worst, float(np.max(np.abs(got[0] - want))))
     elapsed = time.perf_counter() - started
     report(
         1,
         worst <= 1e-6 and elapsed < 10.0,
-        f"200 circuits, max |shift - fd| = {worst:.3e} (tol 1e-6), {elapsed:.1f}s (< 10s)",
+        f"200 circuits, max |QuantumConv.backward - fd| = {worst:.3e} (tol 1e-6), "
+        f"{elapsed:.1f}s (< 10s)",
     )
 
 
@@ -67,15 +74,17 @@ def test_criterion_2_circuit_oracle_equivalence():
         params = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         amps /= np.linalg.norm(amps)
-        got = run_circuit(spec, params, Statevector(n, amps.copy())).amplitudes
+        got = amps
+        for gate in _block_gates(spec, params[None]):
+            got = gate[0] @ got
         want = oracles.circuit_unitary(spec, params) @ amps
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - started
     report(
         2,
         worst <= 1e-12 and elapsed < 5.0,
-        f"100 circuits vs dense unitary product, max amplitude error = {worst:.2e} "
-        f"(tol 1e-12), {elapsed:.1f}s (< 5s)",
+        f"100 circuits, layer block gates vs dense unitary product, "
+        f"max amplitude error = {worst:.2e} (tol 1e-12), {elapsed:.1f}s (< 5s)",
     )
 
 

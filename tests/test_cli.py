@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qconv import layers
 from qconv.cli import main, parse_seeds, run_gradient_check
 from qconv.tetris import load_dataset
 
@@ -155,20 +156,31 @@ def test_gradcheck_depth_zero_trivially_passes():
     assert main(["gradcheck", "--cases", "5", "--depth", "0"]) == 0
 
 
-def test_gradcheck_detects_injected_wrong_shift(capsys):
-    code = main(["gradcheck", "--cases", "5", "--inject-shift", str(np.pi / 2)])
-    assert code == 2
+def wrong_shift(monkeypatch, name):
+    # A shift of 1.0 rad instead of pi/4 scales the shift-rule difference by sin(2 * 1.0).
+    original = getattr(layers, name)
+    monkeypatch.setattr(layers, name, lambda *args: np.sin(2.0) * original(*args))
+
+
+def test_gradcheck_detects_injected_wrong_shift(monkeypatch, capsys):
+    wrong_shift(monkeypatch, "_generator_traces")
+    assert main(["gradcheck", "--cases", "5"]) == 2
     out = capsys.readouterr().out
-    assert "FAIL" in out and "deviation" in out
+    assert "FAIL" in out and "parameter gradient" in out
+
+
+def test_gradcheck_detects_wrong_input_gradient(monkeypatch, capsys):
+    wrong_shift(monkeypatch, "_scatter_windows")
+    assert main(["gradcheck", "--cases", "5"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "input gradient" in out
 
 
 def test_gradcheck_report_contents():
     report = run_gradient_check(cases=10, seed=0)
     assert report["passed"]
     assert report["max_deviation"] <= report["tolerance"]
-    bad = run_gradient_check(cases=5, seed=0, inject_shift=1.0)
-    assert not bad["passed"]
-    assert bad["worst"]["kind"] in ("parameter", "input")
+    assert report["worst"]["kind"] in ("parameter", "input")
 
 
 # ---------------------------------------------------------------------------

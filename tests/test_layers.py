@@ -13,17 +13,21 @@ from qconv.layers import (
     Network,
     QuantumConv,
     WindowSpec,
-    extract_windows,
-    mse_loss,
+    _batched_windows,
     mse_loss_batch,
     output_shape,
 )
-from qconv.pqc import input_grad, param_shift_grad, quantum_feature
 from qconv.training import build_network
 
 import oracles
 
 WIN = WindowSpec(2, 2)
+
+
+def oracle_filter(spec, params):
+    """`oracles.feature` of one filter as a function of the window, its dense unitary built once."""
+    unitary = oracles.circuit_unitary(spec, params)
+    return lambda values: oracles.parity_expectation(unitary @ oracles.encode_state(values))
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +91,36 @@ def test_quantum_conv_rejects_window_past_qubit_limit():
 
 def test_extract_windows_traversal_order():
     image = np.arange(9, dtype=float).reshape(3, 3, 1)
-    patches = extract_windows(image, WIN)
-    assert len(patches) == 4
-    assert [(p.row, p.col) for p in patches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    np.testing.assert_array_equal(patches[0].values, image[0:2, 0:2, 0])
+    win = _batched_windows(image[None], WIN)
+    assert win.shape == (1, 1, 2, 2, 2, 2)
+    patches = oracles.windows(image, WIN)
+    assert [(i, j) for i, j, _, _ in patches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    np.testing.assert_array_equal(win.reshape(4, 4), [values for *_, values in patches])
+    np.testing.assert_array_equal(win[0, 0, 0, 0], image[0:2, 0:2, 0])
 
 
 def test_extract_single_window_covers_input():
     image = np.arange(4, dtype=float).reshape(2, 2, 1)
-    patches = extract_windows(image, WIN)
-    assert len(patches) == 1
-    np.testing.assert_array_equal(patches[0].values, image[:, :, 0])
+    win = _batched_windows(image[None], WIN)
+    assert win.shape == (1, 1, 1, 1, 2, 2)
+    np.testing.assert_array_equal(win[0, 0, 0, 0], image[:, :, 0])
 
 
 def test_extract_padded_windows_each_hold_the_pixel_once():
     image = np.array([[[5.0]]])
-    patches = extract_windows(image, WindowSpec(2, 2, 1, padding=1))
-    assert len(patches) == 4
-    for patch in patches:
-        assert patch.values.sum() == 5.0
-        assert (patch.values != 0).sum() == 1
+    win = _batched_windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(-1, 2, 2)
+    assert len(win) == 4
+    for patch in win:
+        assert patch.sum() == 5.0
+        assert (patch != 0).sum() == 1
 
 
 def test_extract_windows_channel_major_order():
     image = np.arange(8, dtype=float).reshape(2, 2, 2)
-    patches = extract_windows(image, WIN)
-    assert [(p.channel, p.row, p.col) for p in patches] == [(0, 0, 0), (1, 0, 0)]
+    win = _batched_windows(image[None], WIN)
+    assert [(c, i, j) for i, j, c, _ in oracles.windows(image, WIN)] == [(0, 0, 0), (1, 0, 0)]
+    for c in range(2):
+        np.testing.assert_array_equal(win[0, c, 0, 0], image[:, :, c])
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +149,11 @@ def test_quantum_conv_cells_match_standalone_features():
         out, _ = layer.forward(x)
         assert out.shape == (2, 2, 2, 6)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
-        for s in range(2):
-            for patch in extract_windows(x[s], window):
-                for f in range(3):
-                    want = quantum_feature(layer.circuit, layer.angles[f], patch.values.ravel())
-                    got = out[s, patch.row, patch.col, patch.channel * 3 + f]
-                    assert got == pytest.approx(want, abs=1e-12)
+        for f in range(3):
+            feature = oracle_filter(layer.circuit, layer.angles[f])
+            for s in range(2):
+                for i, j, c, values in oracles.windows(x[s], window):
+                    assert out[s, i, j, c * 3 + f] == pytest.approx(feature(values), abs=1e-12)
 
 
 def test_quantum_conv_backward_zero_upstream():
@@ -165,13 +172,14 @@ def test_quantum_conv_single_window_matches_shift_rule():
     out, cache = layer.forward(x)
     upstream = np.full_like(out, 1.7)
     (dangles,), dx = layer.backward(upstream, cache)
-    window = x[0, :, :, 0].ravel()
+    spec, params, window = layer.circuit, layer.angles[0], x[0, :, :, 0].ravel()
     np.testing.assert_allclose(
-        dangles[0], 1.7 * param_shift_grad(layer.circuit, layer.angles[0], window), atol=1e-12
+        dangles[0], 1.7 * oracles.shift_difference(
+            lambda p: oracles.feature(spec, p, window), params), atol=1e-12
     )
     np.testing.assert_allclose(
-        dx[0, :, :, 0].ravel(), 1.7 * input_grad(layer.circuit, layer.angles[0], window),
-        atol=1e-12,
+        dx[0, :, :, 0].ravel(), 1.7 * oracles.shift_difference(
+            lambda w: oracles.feature(spec, params, w), window), atol=1e-12
     )
 
 
@@ -184,17 +192,22 @@ def test_quantum_conv_backward_matches_per_window_accumulation():
         out, cache = layer.forward(x)
         upstream = rng.standard_normal(out.shape)
         (dangles,), dx = layer.backward(upstream, cache)
-        want_angles = np.zeros_like(dangles)
+        cells = [(s, i, j, c, values) for s in range(2)
+                 for i, j, c, values in oracles.windows(x[s], window)]
+        want_angles = np.empty_like(dangles)
         want_dx = np.zeros_like(x)
-        for s in range(2):
-            for patch in extract_windows(x[s], window):
-                values = patch.values.ravel()
-                for f in range(2):
-                    u = upstream[s, patch.row, patch.col, patch.channel * 2 + f]
-                    want_angles[f] += u * param_shift_grad(layer.circuit, layer.angles[f], values)
-                    grad = u * input_grad(layer.circuit, layer.angles[f], values)
-                    want_dx[s, patch.row : patch.row + m, patch.col : patch.col + n,
-                            patch.channel] += grad.reshape(m, n)
+        for f in range(2):
+
+            def weighted_output(params):  # the shift rule is linear, so shift the window sum
+                feature = oracle_filter(layer.circuit, params)
+                return sum(upstream[s, i, j, c * 2 + f] * feature(values)
+                           for s, i, j, c, values in cells)
+
+            want_angles[f] = oracles.shift_difference(weighted_output, layer.angles[f])
+            feature = oracle_filter(layer.circuit, layer.angles[f])
+            for s, i, j, c, values in cells:
+                grad = upstream[s, i, j, c * 2 + f] * oracles.shift_difference(feature, values)
+                want_dx[s, i : i + m, j : j + n, c] += grad.reshape(m, n)
         np.testing.assert_allclose(dangles, want_angles, atol=1e-12)
         np.testing.assert_allclose(dx, want_dx, atol=1e-12)
 
@@ -223,18 +236,16 @@ def test_quantum_conv_matches_dense_oracle(shape, depth, filters, samples, chann
     want_angles = np.zeros_like(dangles)
     want_dx = np.zeros_like(x)
     for s in range(samples):
-        for patch in extract_windows(x[s], window):
-            values = patch.values.ravel()
+        for i, j, c, values in oracles.windows(x[s], window):
             for f in range(filters):
-                cell = (s, patch.row, patch.col, patch.channel * filters + f)
+                cell = (s, i, j, c * filters + f)
                 params = layer.angles[f]
                 assert out[cell] == pytest.approx(oracles.feature(spec, params, values), abs=1e-12)
                 want_angles[f] += upstream[cell] * oracles.central_difference(
                     lambda p: oracles.feature(spec, p, values), params)
                 grad = upstream[cell] * oracles.central_difference(
                     lambda w: oracles.feature(spec, params, w), values)
-                want_dx[s, patch.row : patch.row + m, patch.col : patch.col + n,
-                        patch.channel] += grad.reshape(m, n)
+                want_dx[s, i : i + m, j : j + n, c] += grad.reshape(m, n)
     np.testing.assert_allclose(dangles, want_angles, atol=1e-6)
     np.testing.assert_allclose(dx, want_dx, atol=1e-6)
 
@@ -272,11 +283,11 @@ def test_quantum_conv_gradient_scatter_conserves_window_sums():
     upstream = rng.standard_normal(out.shape)
     _, dx = layer.backward(upstream, cache)
     total = 0.0
-    for patch in extract_windows(x[0], WIN):
-        values = patch.values.ravel()
+    for i, j, c, values in oracles.windows(x[0], WIN):
         for f in range(2):
-            u = upstream[0, patch.row, patch.col, patch.channel * 2 + f]
-            total += (u * input_grad(layer.circuit, layer.angles[f], values)).sum()
+            grad = oracles.shift_difference(
+                lambda w: oracles.feature(layer.circuit, layer.angles[f], w), values)
+            total += (upstream[0, i, j, c * 2 + f] * grad).sum()
     assert dx.sum() == pytest.approx(total, abs=1e-10)
 
 
@@ -468,31 +479,33 @@ def test_dense_rejects_wrong_width():
 
 
 def test_mse_exact_match_is_zero():
-    loss, grad = mse_loss([1.0, 0.0], [1.0, 0.0])
+    loss, grad = mse_loss_batch(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
 
 def test_mse_single_unit_error_over_five_classes():
-    target = np.zeros(5)
-    target[2] = 1.0
-    loss, grad = mse_loss(np.zeros(5), target)
+    target = np.zeros((1, 5))
+    target[0, 2] = 1.0
+    loss, grad = mse_loss_batch(np.zeros((1, 5)), target)
     assert loss == pytest.approx(0.2, abs=1e-15)
-    np.testing.assert_allclose(grad, (2.0 / 5.0) * (np.zeros(5) - target), atol=1e-15)
+    np.testing.assert_allclose(grad, (2.0 / 5.0) * (0.0 - target), atol=1e-15)
 
 
 def test_mse_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
-    pred = rng.standard_normal(5)
-    target = rng.standard_normal(5)
-    _, grad = mse_loss(pred, target)
-    fd = oracles.central_difference(lambda p: mse_loss(p, target)[0], pred, h=1e-6)
-    np.testing.assert_allclose(grad, fd, atol=1e-8)
+    pred = rng.standard_normal((1, 5))
+    target = rng.standard_normal((1, 5))
+    _, grad = mse_loss_batch(pred, target)
+    fd = oracles.central_difference(
+        lambda p: mse_loss_batch(p.reshape(1, 5), target)[0], pred.ravel(), h=1e-6
+    )
+    np.testing.assert_allclose(grad.ravel(), fd, atol=1e-8)
 
 
 def test_mse_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        mse_loss([1.0, 2.0], [1.0])
+        mse_loss_batch(np.array([[1.0, 2.0]]), np.array([[1.0]]))
 
 
 def test_batch_mse_is_mean_of_per_sample_losses():
@@ -500,7 +513,7 @@ def test_batch_mse_is_mean_of_per_sample_losses():
     pred = rng.standard_normal((4, 3))
     target = rng.standard_normal((4, 3))
     loss, grad = mse_loss_batch(pred, target)
-    per_sample = [mse_loss(pred[i], target[i])[0] for i in range(4)]
+    per_sample = [np.mean((pred[i] - target[i]) ** 2) for i in range(4)]
     assert loss == pytest.approx(np.mean(per_sample), abs=1e-15)
     fd = oracles.central_difference(
         lambda flat: mse_loss_batch(flat.reshape(4, 3), target)[0], pred.ravel(), h=1e-6
@@ -514,8 +527,8 @@ def test_batch_mse_is_mean_of_per_sample_losses():
 def test_network_shape_chain_one_layer():
     for n_classes in (2, 5):
         net = build_network("qccnn", "one-layer", n_classes, seed=0)
-        pred = net.forward(np.zeros((3, 3, 1)))
-        assert pred.shape == (n_classes,)
+        pred, _ = net.forward_batch(np.zeros((1, 3, 3, 1)))
+        assert pred.shape == (1, n_classes)
     shapes = [(3, 3, 1)]
     net = build_network("qccnn", "one-layer", 5, seed=0)
     for layer in net.layers[:-1]:
@@ -565,9 +578,9 @@ def test_network_end_to_end_gradient_minimal_qccnn():
 
 def test_network_forward_deterministic():
     net = build_network("qccnn", "two-layer", 5, seed=3)
-    x = np.random.default_rng(4).random((3, 3, 1))
-    a = net.forward(x)
-    b = net.forward(x.copy())
+    x = np.random.default_rng(4).random((1, 3, 3, 1))
+    a = net.forward_batch(x)[0][0]
+    b = net.forward_batch(x.copy())[0][0]
     np.testing.assert_array_equal(a, b)
 
 

@@ -1,75 +1,61 @@
-"""Statevector kernel: known states, oracle equivalence, invariants."""
+"""The circuit's gates on state vectors: the Ry layers and CNOT ladders of
+`layers._block_gates` and the Z-parity signs of `qconv.pqc`, on known
+states, against the Kronecker oracles, and through their invariants."""
 
 import numpy as np
-import pytest
 
-from qconv.statevector import (
-    Statevector,
-    apply_cnot,
-    apply_ry,
-    cnot_amplitudes,
-    expectation_z_all,
-    init_state,
-    parity_signs,
-    ry_amplitudes,
-)
+from qconv.layers import _block_gates
+from qconv.pqc import build_circuit, ladder_permutation, parity_signs
 
 import oracles
+
+
+def block(angles):
+    """One circuit block on len(angles) qubits: the Ry layer, then the CNOT ladder."""
+    angles = np.asarray(angles, dtype=float)
+    return _block_gates(build_circuit(angles.size, 1), angles[None])[0, 0]
+
+
+def ladder(n):
+    """Apply the n-qubit CNOT ladder to a state vector by its index permutation."""
+    perm = ladder_permutation(build_circuit(n, 1))
+    return lambda amps: amps[perm]
+
+
+def oracle_ladder(n):
+    mat = np.eye(2**n)
+    for i in range(n - 1):
+        mat = oracles.cnot_matrix(i, i + 1, n) @ mat
+    return mat
 
 
 def basis_state(n, index):
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[index] = 1.0
-    return Statevector(n, amps)
+    return amps
 
 
 def random_state(n, rng):
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return Statevector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 # ---------------------------------------------------------------------------
-# init_state
-
-def test_init_single_qubit():
-    state = init_state(1)
-    np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0])
-
-
-def test_init_four_qubits():
-    state = init_state(4)
-    assert state.amplitudes.shape == (16,)
-    assert state.amplitudes[0] == 1.0
-    assert np.all(state.amplitudes[1:] == 0.0)
-
-
-def test_init_rejects_zero_qubits():
-    with pytest.raises(ValueError):
-        init_state(0)
-
-
-def test_init_rejects_oversized_register():
-    with pytest.raises(ValueError):
-        init_state(25)
-
-
-# ---------------------------------------------------------------------------
-# apply_ry
+# Ry layers
 
 def test_ry_zero_angle_is_identity():
     state = random_state(3, np.random.default_rng(1))
-    out = apply_ry(state, 1, 0.0)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+    out = block(np.zeros(3)) @ state
+    np.testing.assert_allclose(out, oracle_ladder(3) @ state, atol=1e-15)
 
 
 def test_ry_half_pi_flips_zero_to_one():
-    out = apply_ry(init_state(1), 0, np.pi / 2)
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(block([np.pi / 2]) @ basis_state(1, 0), [0.0, 1.0], atol=1e-15)
 
 
 def test_ry_quarter_pi_equal_superposition():
-    out = apply_ry(init_state(1), 0, np.pi / 4)
-    np.testing.assert_allclose(out.amplitudes, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
+    out = block([np.pi / 4]) @ basis_state(1, 0)
+    np.testing.assert_allclose(out, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
 
 
 def test_ry_matches_kronecker_oracle():
@@ -78,93 +64,74 @@ def test_ry_matches_kronecker_oracle():
         for _ in range(5):
             state = random_state(n, rng)
             qubit = int(rng.integers(n))
-            angle = rng.uniform(-2 * np.pi, 2 * np.pi)
-            got = apply_ry(state, qubit, angle).amplitudes
-            want = oracles.embed_single(oracles.ry_matrix(angle), qubit, n) @ state.amplitudes
+            angles = np.zeros(n)
+            angles[qubit] = rng.uniform(-2 * np.pi, 2 * np.pi)
+            got = block(angles) @ state
+            want = oracle_ladder(n) @ oracles.embed_single(
+                oracles.ry_matrix(angles[qubit]), qubit, n) @ state
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_ry_then_inverse_restores_state():
     rng = np.random.default_rng(3)
-    state = random_state(4, rng)
+    state = random_state(1, rng)
     angle = rng.uniform(0, 2 * np.pi)
-    out = apply_ry(apply_ry(state, 2, angle), 2, -angle)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_ry_rejects_bad_qubit():
-    with pytest.raises(IndexError):
-        apply_ry(init_state(2), 2, 0.1)
+    out = block([-angle]) @ block([angle]) @ state
+    np.testing.assert_allclose(out, state, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# apply_cnot
+# CNOT ladders
 
 def test_cnot_flips_target_when_control_set():
     # |10> has index 2 under qubit-0-is-MSB
-    out = apply_cnot(basis_state(2, 2), 0, 1)
-    np.testing.assert_array_equal(out.amplitudes, basis_state(2, 3).amplitudes)
+    np.testing.assert_array_equal(ladder(2)(basis_state(2, 2)), basis_state(2, 3))
 
 
 def test_cnot_leaves_zero_control_alone():
-    out = apply_cnot(basis_state(2, 0), 0, 1)
-    np.testing.assert_array_equal(out.amplitudes, basis_state(2, 0).amplitudes)
+    np.testing.assert_array_equal(ladder(2)(basis_state(2, 0)), basis_state(2, 0))
 
 
 def test_cnot_entangles_superposed_control():
     # (|00> + |10>)/sqrt2 -> (|00> + |11>)/sqrt2, checked against the 4x4 matrix
     amps = np.zeros(4, dtype=np.complex128)
     amps[[0, 2]] = np.sqrt(0.5)
-    got = apply_cnot(Statevector(2, amps), 0, 1).amplitudes
-    want = oracles.cnot_matrix(0, 1, 2) @ amps
-    np.testing.assert_allclose(got, want, atol=1e-15)
+    got = ladder(2)(amps)
+    np.testing.assert_allclose(got, oracles.cnot_matrix(0, 1, 2) @ amps, atol=1e-15)
     np.testing.assert_allclose(got, [np.sqrt(0.5), 0, 0, np.sqrt(0.5)], atol=1e-15)
 
 
 def test_cnot_matches_kronecker_oracle():
     rng = np.random.default_rng(11)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for _ in range(6):
             state = random_state(n, rng)
-            control, target = rng.choice(n, size=2, replace=False)
-            got = apply_cnot(state, int(control), int(target)).amplitudes
-            want = oracles.cnot_matrix(int(control), int(target), n) @ state.amplitudes
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(ladder(n)(state), oracle_ladder(n) @ state, atol=1e-12)
 
 
 def test_cnot_is_an_involution():
-    rng = np.random.default_rng(5)
-    state = random_state(3, rng)
-    out = apply_cnot(apply_cnot(state, 2, 0), 2, 0)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_cnot_rejects_equal_or_bad_indices():
-    state = init_state(2)
-    with pytest.raises(IndexError):
-        apply_cnot(state, 1, 1)
-    with pytest.raises(IndexError):
-        apply_cnot(state, 0, 2)
+    # on two qubits the ladder is a single CNOT
+    state = random_state(2, np.random.default_rng(5))
+    np.testing.assert_allclose(ladder(2)(ladder(2)(state)), state, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# expectation_z_all
+# Z-parity expectation: the parity signs weighted by |amplitude|^2
 
 def test_expectation_all_zeros_is_plus_one():
-    assert expectation_z_all(init_state(4)) == 1.0
+    assert parity_signs(4) @ np.abs(basis_state(4, 0)) ** 2 == 1.0
 
 
 def test_expectation_odd_parity_is_minus_one():
     # |0001> = index 1
-    assert expectation_z_all(basis_state(4, 1)) == -1.0
+    assert parity_signs(4) @ np.abs(basis_state(4, 1)) ** 2 == -1.0
 
 
 def test_expectation_uniform_superposition_is_zero():
     amps = np.full(16, 0.25, dtype=np.complex128)
-    state = Statevector(4, amps)
     want = oracles.parity_expectation(amps)
     assert abs(want) < 1e-15
-    assert abs(expectation_z_all(state) - want) < 1e-12
+    assert abs(parity_signs(4) @ np.abs(amps) ** 2 - want) < 1e-12
 
 
 def test_expectation_matches_oracle_and_stays_bounded():
@@ -172,22 +139,9 @@ def test_expectation_matches_oracle_and_stays_bounded():
     for n in (1, 2, 3, 4):
         for _ in range(10):
             state = random_state(n, rng)
-            got = expectation_z_all(state)
+            got = parity_signs(n) @ np.abs(state) ** 2
             assert -1.0 <= got <= 1.0
-            assert abs(got - oracles.parity_expectation(state.amplitudes)) < 1e-12
-
-
-def test_expectation_rejects_norm_drift():
-    state = Statevector(2, np.array([1.1, 0, 0, 0], dtype=np.complex128))
-    with pytest.raises(ValueError):
-        expectation_z_all(state)
-
-
-def test_parity_signs_cached_read_only():
-    signs = parity_signs(3)
-    assert signs[0] == 1.0 and signs[7] == -1.0
-    with pytest.raises(ValueError):
-        signs[0] = 5.0
+            assert abs(got - oracles.parity_expectation(state)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +150,17 @@ def test_parity_signs_cached_read_only():
 def test_norm_preserved_under_random_gate_sequences():
     rng = np.random.default_rng(17)
     for n in (2, 4, 6):
-        state = init_state(n)
-        state = apply_ry(state, 0, rng.uniform(0, 2 * np.pi))
+        state = basis_state(n, 0)
         for _ in range(100):
-            if rng.random() < 0.5:
-                state = apply_ry(state, int(rng.integers(n)), rng.uniform(0, 2 * np.pi))
-            else:
-                c, t = rng.choice(n, size=2, replace=False)
-                state = apply_cnot(state, int(c), int(t))
-        assert abs(state.norm_squared() - 1.0) <= 1e-10
+            state = block(rng.uniform(0, 2 * np.pi, n)) @ state
+        assert abs(np.vdot(state, state).real - 1.0) <= 1e-10
 
 
 def test_array_kernels_handle_batches():
     rng = np.random.default_rng(19)
-    batch = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-    got = ry_amplitudes(batch, 3, 1, 0.37)
+    spec = build_circuit(3, 2)
+    angles = rng.uniform(0, 2 * np.pi, (6, spec.param_count))
+    got = _block_gates(spec, angles)
     for row in range(6):
-        np.testing.assert_allclose(
-            got[row], ry_amplitudes(batch[row], 3, 1, 0.37), atol=1e-15
-        )
-    got = cnot_amplitudes(batch, 3, 2, 0)
-    for row in range(6):
-        np.testing.assert_allclose(
-            got[row], cnot_amplitudes(batch[row], 3, 2, 0), atol=1e-15
-        )
-
-
-def test_gates_do_not_mutate_their_input():
-    state = init_state(2)
-    before = state.amplitudes.copy()
-    apply_ry(state, 0, 1.0)
-    apply_cnot(state, 0, 1)
-    np.testing.assert_array_equal(state.amplitudes, before)
+        np.testing.assert_allclose(got[:, row], _block_gates(spec, angles[row : row + 1])[:, 0],
+                                   atol=1e-15)

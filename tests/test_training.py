@@ -210,20 +210,12 @@ def test_run_experiment_rejects_bad_combinations():
         run_experiment("one-layer", "qccnn", 3, config)
 
 
-def test_run_experiment_deterministic_and_thread_invariant(monkeypatch):
+def test_run_experiment_deterministic():
     config = TrainConfig(iterations=4, eval_every=2, seeds=(0, 1, 2))
-    monkeypatch.setenv("QCONV_THREADS", "1")
-    serial = run_experiment("one-layer", "cnn", 2, config, n_images=30)
-    monkeypatch.setenv("QCONV_THREADS", "3")
-    threaded = run_experiment("one-layer", "cnn", 2, config, n_images=30)
-    assert serial.per_seed == threaded.per_seed
-    assert serial.mean == threaded.mean
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv("QCONV_THREADS", "many")
-    with pytest.raises(ValueError):
-        run_experiment("one-layer", "cnn", 2, TrainConfig(iterations=1, seeds=(0,)), n_images=20)
+    first = run_experiment("one-layer", "cnn", 2, config, n_images=30)
+    second = run_experiment("one-layer", "cnn", 2, config, n_images=30)
+    assert first.per_seed == second.per_seed
+    assert first.mean == second.mean
 
 
 def test_seed_children_are_stable():
