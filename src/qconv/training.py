@@ -116,19 +116,27 @@ def evaluate(net: Network, dataset: Dataset):
     """(accuracy, mean loss) over a dataset; argmax ties go to the lowest index."""
     if not dataset.samples:
         raise ValueError("cannot evaluate on an empty dataset")
-    images, labels, onehot = _stack(dataset, net.n_classes)
+    return _evaluate(net, *_stack(dataset, net.n_classes))
+
+
+def _evaluate(net: Network, images: np.ndarray, labels: np.ndarray, onehot: np.ndarray):
     pred, _ = net.forward_batch(images)
     correct = int(np.sum(pred.argmax(axis=1) == labels))
-    mean_loss = float(np.mean((pred - onehot) ** 2))
-    return correct / labels.size, mean_loss
+    return correct / labels.size, float(np.mean((pred - onehot) ** 2))
 
 
 def train(net: Network, train_set: Dataset, test_set: Dataset,
           config: TrainConfig) -> list[MetricsRecord]:
     """Run the iteration loop; metrics are recorded after the update at every
-    multiple of ``eval_every`` and at the final iteration."""
+    multiple of ``eval_every`` and at the final iteration.  Both sets are
+    stacked once, so layers see the same arrays at every evaluation."""
     config.validate()
-    images, _, targets = _stack(train_set, net.n_classes)
+    if not train_set.samples:
+        raise ValueError("cannot train on an empty training set")
+    if not test_set.samples:
+        raise ValueError("cannot evaluate on an empty test set")
+    train_arrays, test_arrays = _stack(train_set, net.n_classes), _stack(test_set, net.n_classes)
+    images, _, targets = train_arrays
     n = images.shape[0]
     params = net.get_flat_params()
     state = init_adam(params.size, config.learning_rate)
@@ -146,8 +154,8 @@ def train(net: Network, train_set: Dataset, test_set: Dataset,
         params, state = adam_step(params, grads, state)
         net.set_flat_params(params)
         if it % config.eval_every == 0 or it == config.iterations:
-            train_loss = evaluate(net, train_set)[1]
-            test_accuracy, test_loss = evaluate(net, test_set)
+            train_loss = _evaluate(net, *train_arrays)[1]
+            test_accuracy, test_loss = _evaluate(net, *test_arrays)
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise TrainingDivergedError(f"non-finite evaluation loss at iteration {it}")
             records.append(MetricsRecord(it, train_loss, test_loss, test_accuracy))

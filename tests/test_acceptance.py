@@ -4,6 +4,8 @@ Criteria 5-7 train every benchmark combination at the published
 settings (10 seeds x 1000 full-batch iterations, ADAM at 0.01), so this
 module needs several minutes of wall time; everything else is fast.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Every test here is marked ``slow``, so ``pytest -m "not slow"`` runs
+the rest of the suite alone.
 """
 
 import time
@@ -18,6 +20,8 @@ from qconv.tetris import enumerate_configurations, generate_dataset
 from qconv.training import TrainConfig, build_network, run_experiment
 
 import oracles
+
+pytestmark = pytest.mark.slow
 
 FULL_SETTINGS = TrainConfig()  # 1000 iterations, lr 0.01, full batch, seeds 0..9
 

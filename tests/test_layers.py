@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qconv.layers as layers_module
 from qconv.layers import (
     MAX_WINDOW_QUBITS,
     ClassicalConv,
@@ -14,10 +15,12 @@ from qconv.layers import (
     QuantumConv,
     WindowSpec,
     _batched_windows,
+    _pauli_basis,
     mse_loss_batch,
     output_shape,
 )
-from qconv.training import build_network
+from qconv.tetris import generate_dataset, split
+from qconv.training import TrainConfig, build_network, train
 
 import oracles
 
@@ -289,6 +292,72 @@ def test_quantum_conv_gradient_scatter_conserves_window_sums():
                 lambda w: oracles.feature(layer.circuit, layer.angles[f], w), values)
             total += (upstream[0, i, j, c * 2 + f] * grad).sum()
     assert dx.sum() == pytest.approx(total, abs=1e-10)
+
+
+def count_trig_features(monkeypatch) -> list:
+    """Route `_trig_features` through a counter; the list's length is the call count."""
+    calls, original = [], layers_module._trig_features
+    monkeypatch.setattr(layers_module, "_trig_features",
+                        lambda t: calls.append(t.shape) or original(t))
+    return calls
+
+
+def test_pauli_basis_is_built_once_and_read_only():
+    basis = _pauli_basis(2)
+    assert _pauli_basis(2) is basis
+    assert basis.shape == (9, 16)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 2.0
+
+
+def test_quantum_conv_reuses_phi_of_the_same_array(monkeypatch):
+    calls = count_trig_features(monkeypatch)
+    layer = QuantumConv(WIN, filters=3, depth=2, rng=np.random.default_rng(30))
+    x = np.random.default_rng(31).random((4, 3, 3, 2))
+    first, cache = layer.forward(x)
+    second, _ = layer.forward(x)
+    assert len(calls) == 1
+    assert not cache["phi"].flags.writeable
+    fresh = QuantumConv(WIN, filters=3, depth=2, rng=np.random.default_rng(0))
+    fresh.angles[...] = layer.angles
+    np.testing.assert_array_equal(second, first)
+    np.testing.assert_array_equal(second, fresh.forward(x.copy())[0])
+
+
+def test_quantum_conv_recomputes_phi_after_in_place_edit(monkeypatch):
+    calls = count_trig_features(monkeypatch)
+    layer = QuantumConv(WIN, filters=2, depth=2, rng=np.random.default_rng(32))
+    x = np.random.default_rng(33).random((1, 3, 3, 1))
+    layer.forward(x)
+    layer.forward(x)
+    x[0, 1, 1, 0] += 0.5  # shared by every window
+    out, _ = layer.forward(x)
+    assert len(calls) == 2
+    for f in range(2):
+        for i, j, c, values in oracles.windows(x[0], WIN):
+            want = oracles.feature(layer.circuit, layer.angles[f], values)
+            assert out[0, i, j, c * 2 + f] == pytest.approx(want, abs=1e-12)
+
+
+def test_quantum_conv_memo_lives_only_as_long_as_its_input():
+    net = build_network("qccnn", "two-layer", 5, seed=34)
+    first, second = net.layers[0], net.layers[1]
+    x = np.random.default_rng(35).random((3, 3, 3, 1))
+    net.forward_batch(x)
+    assert len(first._phi_memo) == 1
+    assert second._phi_memo == {}  # the first layer's output is gone after the pass
+    del x
+    assert first._phi_memo == {}
+
+
+def test_one_layer_training_builds_phi_once_per_fixed_set(monkeypatch):
+    calls = count_trig_features(monkeypatch)
+    train_set, test_set = split(generate_dataset(40, seed=36), 0.8, seed=37)
+    net = build_network("qccnn", "one-layer", 5, seed=38)
+    config = TrainConfig(iterations=20, eval_every=10, seeds=(0,))
+    records = train(net, train_set, test_set, config)
+    assert [r.iteration for r in records] == [10, 20]
+    assert calls == [(4 * len(train_set), 4), (4 * len(test_set), 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,24 @@ def test_train_rejects_zero_iterations():
         train(net, data, data, TrainConfig(iterations=0, seeds=(0,)))
 
 
+def test_train_rejects_empty_training_set():
+    net = build_network("cnn", "one-layer", 2, seed=0)
+    data = toy_dataset([0, 1], n_classes=2)
+    empty = Dataset([], ("S", "T"), "train", 0)
+    with pytest.raises(ValueError, match="empty training set"):
+        train(net, empty, data, TrainConfig(iterations=1, seeds=(0,)))
+
+
+def test_train_rejects_empty_test_set_before_training():
+    net = build_network("cnn", "one-layer", 2, seed=0)
+    data = toy_dataset([0, 1], n_classes=2)
+    before = net.get_flat_params()
+    empty = Dataset([], ("S", "T"), "test", 0)
+    with pytest.raises(ValueError, match="empty test set"):
+        train(net, data, empty, TrainConfig(iterations=10, eval_every=10, seeds=(0,)))
+    np.testing.assert_array_equal(net.get_flat_params(), before)
+
+
 def test_train_smoke_loss_decreases():
     rng = np.random.default_rng(1)
     samples = []
