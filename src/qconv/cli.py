@@ -137,6 +137,8 @@ def parse_seeds(value: str) -> tuple[int, ...]:
         raise ConfigError(f"seeds: cannot parse {value!r}") from exc
     if not seeds:
         raise ConfigError(f"seeds: empty seed list from {value!r}")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds: need distinct non-negative seeds, got {value!r}")
     return seeds
 
 

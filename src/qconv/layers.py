@@ -307,7 +307,7 @@ class ClassicalConv:
 
     def forward(self, xb: np.ndarray):
         win = _batched_windows(xb, self.window)
-        z = np.einsum("sdijmn,fmn->sdijf", win, self.weights)
+        z = np.tensordot(win, self.weights, axes=([4, 5], [1, 2]))  # (S, d, rows, cols, k)
         out = _merge_channels(np.maximum(z, 0.0) if self.relu else z)
         cache = {"win": win, "z": z, "in_shape": xb.shape}
         return out, cache
@@ -317,16 +317,23 @@ class ClassicalConv:
         u = _split_channels(upstream, win.shape[1], self.filters)
         if self.relu:
             u = u * (z > 0.0)  # subgradient 0 at exactly 0
-        dw = np.einsum("sdijf,sdijmn->fmn", u, win)
+        dw = np.tensordot(u, win, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
         dx = None
         if need_dx:
-            dwin = np.einsum("sdijf,fmn->sdijmn", u, self.weights)
+            dwin = np.tensordot(u, self.weights, axes=([4], [0]))
             dx = _scatter_windows(dwin, self.window, cache["in_shape"])
         return [dw], dx
 
 
 class MaxPool:
-    """Per-channel max over each window; zero padding competes in the max."""
+    """Per-channel max over each window; zero padding competes in the max.
+
+    The pool visits the m*n window offsets, each one strided slice of
+    the padded input.  Ties go to the first row-major position in the
+    window, which alone receives the gradient; a NaN in a window makes
+    that output NaN.  Backward takes the offsets in reverse, so every
+    input cell sums its terms in the output cells' row-major order.
+    """
 
     def __init__(self, window: WindowSpec):
         self.window = window
@@ -338,20 +345,23 @@ class MaxPool:
     def out_shape(self, input_shape):
         return output_shape(input_shape, self.window)
 
+    def _offsets(self, rows: int, cols: int) -> list[tuple[slice, slice]]:
+        """Padded-input row and column slices under each window offset, row-major."""
+        m, n, s = self.window.height, self.window.width, self.window.stride
+        return [(slice(a, a + s * (rows - 1) + 1, s), slice(b, b + s * (cols - 1) + 1, s))
+                for a in range(m) for b in range(n)]
+
     def forward(self, xb: np.ndarray):
-        rows, cols, d = output_shape(xb.shape[1:], self.window)
-        p, s = self.window.padding, self.window.stride
-        m, n = self.window.height, self.window.width
+        rows, cols, _ = output_shape(xb.shape[1:], self.window)
+        p = self.window.padding
         xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
-        samples = xb.shape[0]
-        out = np.empty((samples, rows, cols, d))
-        argmax = np.empty((samples, rows, cols, d), dtype=np.int64)
-        for i in range(rows):
-            for j in range(cols):
-                patch = xp[:, i * s : i * s + m, j * s : j * s + n, :].reshape(samples, m * n, d)
-                idx = patch.argmax(axis=1)  # first occurrence wins ties, row-major
-                argmax[:, i, j, :] = idx
-                out[:, i, j, :] = np.take_along_axis(patch, idx[:, None, :], axis=1)[:, 0, :]
+        (r0, c0), *rest = self._offsets(rows, cols)
+        out = xp[:, r0, c0].copy()
+        argmax = np.zeros(out.shape, dtype=np.int64)
+        for k, (r, c) in enumerate(rest, 1):
+            v = xp[:, r, c]
+            np.copyto(argmax, k, where=v > out)  # strict: the first maximum keeps a tie
+            np.maximum(out, v, out=out)
         cache = {"argmax": argmax, "in_shape": xb.shape}
         return out, cache
 
@@ -359,17 +369,12 @@ class MaxPool:
         if not need_dx:
             return [], None
         samples, v, h, d = cache["in_shape"]
-        p, s = self.window.padding, self.window.stride
-        n = self.window.width
+        p = self.window.padding
         argmax = cache["argmax"]
-        rows, cols = argmax.shape[1:3]
         dxp = np.zeros((samples, v + 2 * p, h + 2 * p, d))
-        s_idx = np.arange(samples)[:, None]
-        d_idx = np.arange(d)[None, :]
-        for i in range(rows):
-            for j in range(cols):
-                idx = argmax[:, i, j, :]
-                np.add.at(dxp, (s_idx, i * s + idx // n, j * s + idx % n, d_idx), upstream[:, i, j, :])
+        offsets = list(enumerate(self._offsets(*argmax.shape[1:3])))
+        for k, (r, c) in reversed(offsets):
+            dxp[:, r, c] += np.where(argmax == k, upstream, 0.0)
         dx = dxp[:, p : p + v, p : p + h, :] if p else dxp
         return [], dx
 

@@ -1,10 +1,10 @@
 """Independent brute-force oracles the tests check production code against.
 
 Everything here is built the slow, obvious way: gate matrices embedded
-with explicit Kronecker products, convolutions and window enumeration
-as nested loops, and gradients as central finite differences or
-explicit quarter-turn shifts.  None of it shares code with
-the library paths it verifies.
+with explicit Kronecker products, convolutions, pooling and window
+enumeration as nested loops, and gradients as central finite
+differences or explicit quarter-turn shifts.  None of it shares code
+with the library paths it verifies.
 """
 
 import numpy as np
@@ -143,17 +143,44 @@ def naive_conv(image: np.ndarray, weights: np.ndarray, stride: int = 1,
     return out
 
 
-def naive_max_pool(image: np.ndarray, size: int, stride: int, padding: int) -> np.ndarray:
+def naive_max_pool(image: np.ndarray, window) -> np.ndarray:
     """Loop max pooling with zero padding included in each window."""
+    p, s, m, n = window.padding, window.stride, window.height, window.width
     v, h, d = image.shape
-    if padding:
-        image = np.pad(image, ((padding, padding), (padding, padding), (0, 0)))
-    rows = (v + 2 * padding - size) // stride + 1
-    cols = (h + 2 * padding - size) // stride + 1
+    if p:
+        image = np.pad(image, ((p, p), (p, p), (0, 0)))
+    rows = (v + 2 * p - m) // s + 1
+    cols = (h + 2 * p - n) // s + 1
     out = np.zeros((rows, cols, d))
     for c in range(d):
         for i in range(rows):
             for j in range(cols):
-                out[i, j, c] = image[i * stride : i * stride + size,
-                                     j * stride : j * stride + size, c].max()
+                out[i, j, c] = image[i * s : i * s + m, j * s : j * s + n, c].max()
     return out
+
+
+def _first_max(patch: np.ndarray) -> tuple[int, int]:
+    """(row, col) of the first row-major maximum of a 2-D patch."""
+    best = (0, 0)
+    for a in range(patch.shape[0]):
+        for b in range(patch.shape[1]):
+            if patch[a, b] > patch[best]:
+                best = (a, b)
+    return best
+
+
+def naive_max_pool_grad(image: np.ndarray, window, upstream: np.ndarray) -> np.ndarray:
+    """Input gradient of max pooling: each output cell's upstream value goes to
+    its window's first row-major maximum, cells taken in row-major order;
+    what lands in the zero padding is dropped."""
+    p, s, m, n = window.padding, window.stride, window.height, window.width
+    v, h, d = image.shape
+    padded = np.pad(image, ((p, p), (p, p), (0, 0)))
+    grad = np.zeros(padded.shape)
+    rows, cols, _ = upstream.shape
+    for c in range(d):
+        for i in range(rows):
+            for j in range(cols):
+                a, b = _first_max(padded[i * s : i * s + m, j * s : j * s + n, c])
+                grad[i * s + a, j * s + b, c] += upstream[i, j, c]
+    return grad[p : p + v, p : p + h]

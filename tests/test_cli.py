@@ -142,6 +142,22 @@ def test_parse_seeds_forms():
         parse_seeds("0,x")
 
 
+def test_negative_seed_is_config_error_before_any_run(tmp_path, capsys):
+    assert main(["repro", "--seeds=-1,2", "--images", "30", "--iterations", "2",
+                 "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "seeds" in captured.err
+    assert "running" not in captured.out
+
+
+def test_duplicate_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "res"
+    assert main(["train", "--model", "cnn", "--images", "30", "--iterations", "2",
+                 "--eval-every", "2", "--seeds", "1,1", "--out-dir", str(out)]) == 1
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

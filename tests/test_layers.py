@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qconv.layers as layers_module
@@ -430,6 +430,54 @@ def test_classical_conv_backward_matches_finite_differences():
     )
 
 
+@st.composite
+def tiling_geometry(draw):
+    """A window of 1..3 x 1..3, stride 1..2, padding 0..1, and an input (v, h) it tiles."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    v = (draw(st.integers(1, 3)) - 1) * stride + m - 2 * padding
+    h = (draw(st.integers(1, 3)) - 1) * stride + n - 2 * padding
+    assume(v >= 1 and h >= 1)
+    return WindowSpec(m, n, stride, padding), v, h
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=tiling_geometry(), samples=st.integers(1, 3), channels=st.integers(1, 3),
+       filters=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_classical_conv_matches_oracles_on_any_geometry(geometry, samples, channels, filters, seed):
+    window, v, h = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, (samples, v, h, channels)).astype(float)
+    for relu in (False, True):
+        layer = ClassicalConv(window, filters, np.random.default_rng(seed), relu=relu)
+        out, _ = layer.forward(x)
+        for s in range(samples):
+            want = oracles.naive_conv(x[s], layer.weights, window.stride, window.padding, relu)
+            np.testing.assert_allclose(out[s], want, atol=1e-12)
+    # gradients of the linear layer: ReLU's kink at an all-zero window defeats differences
+    layer = ClassicalConv(window, filters, np.random.default_rng(seed), relu=False)
+    out, cache = layer.forward(x)
+    upstream = rng.standard_normal(out.shape)
+    (dw,), dx = layer.backward(upstream, cache)
+
+    def surrogate_weights(flat):
+        saved = layer.weights.copy()
+        layer.weights[...] = flat.reshape(layer.weights.shape)
+        value = float((layer.forward(x)[0] * upstream).sum())
+        layer.weights[...] = saved
+        return value
+
+    def surrogate_input(flat):
+        return float((layer.forward(flat.reshape(x.shape))[0] * upstream).sum())
+
+    np.testing.assert_allclose(
+        dw.ravel(), oracles.central_difference(surrogate_weights, layer.weights.ravel()), atol=1e-6
+    )
+    np.testing.assert_allclose(
+        dx.ravel(), oracles.central_difference(surrogate_input, x.ravel()), atol=1e-6
+    )
+
+
 def test_relu_subgradient_is_zero_at_zero():
     rng = np.random.default_rng(13)
     layer = ClassicalConv(WIN, filters=1, rng=rng, relu=True)
@@ -466,9 +514,7 @@ def test_padded_pool_of_negative_values_selects_padding():
     out, cache = pool.forward(x)
     assert out.shape == (1, 2, 2, 6)
     np.testing.assert_array_equal(out, np.zeros_like(out))
-    for c in range(6):
-        want = oracles.naive_max_pool(x[0], 2, 1, 1)
-        np.testing.assert_array_equal(out[0], want)
+    np.testing.assert_array_equal(out[0], oracles.naive_max_pool(x[0], pool.window))
     # gradient dies in the padding
     _, dx = pool.backward(np.ones_like(out), cache)
     np.testing.assert_array_equal(dx, np.zeros_like(x))
@@ -480,7 +526,7 @@ def test_pool_matches_loop_oracle_and_routes_gradients():
     x = rng.standard_normal((3, 2, 2, 4))
     out, cache = pool.forward(x)
     for s in range(3):
-        np.testing.assert_allclose(out[s], oracles.naive_max_pool(x[s], 2, 1, 1), atol=1e-15)
+        np.testing.assert_allclose(out[s], oracles.naive_max_pool(x[s], pool.window), atol=1e-15)
     upstream = rng.standard_normal(out.shape)
     _, dx = pool.backward(upstream, cache)
 
@@ -490,6 +536,33 @@ def test_pool_matches_loop_oracle_and_routes_gradients():
     np.testing.assert_allclose(
         dx.ravel(), oracles.central_difference(surrogate, x.ravel(), h=1e-7), atol=1e-6
     )
+
+
+def test_pool_nan_in_window_reaches_its_output_cell():
+    pool = MaxPool(WIN)
+    x = np.array([[1.0, np.nan, 0.0], [2.0, 5.0, 0.0], [0.0, 0.0, 0.0]]).reshape(1, 3, 3, 1)
+    out, _ = pool.forward(x)
+    # the NaN at (0, 1) lies in output cells (0, 0) and (0, 1), each with a larger value after it
+    np.testing.assert_array_equal(np.isnan(out[0, :, :, 0]), [[True, True], [False, False]])
+    np.testing.assert_array_equal(out[0, 1, :, 0], [5.0, 5.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=tiling_geometry(), samples=st.integers(1, 3), channels=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pool_matches_loop_oracles_exactly_on_any_geometry(geometry, samples, channels, seed):
+    window, v, h = geometry
+    rng = np.random.default_rng(seed)
+    # a small integer grid, so that inputs tie with each other and with the padding
+    x = rng.integers(-2, 3, (samples, v, h, channels)).astype(float)
+    pool = MaxPool(window)
+    out, cache = pool.forward(x)
+    # magnitudes far apart, so that a cell's sum depends on the order of its terms
+    upstream = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 9, out.shape)
+    _, dx = pool.backward(upstream, cache)
+    for s in range(samples):
+        np.testing.assert_array_equal(out[s], oracles.naive_max_pool(x[s], window))
+        np.testing.assert_array_equal(dx[s], oracles.naive_max_pool_grad(x[s], window, upstream[s]))
 
 
 # ---------------------------------------------------------------------------
