@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -107,20 +107,6 @@ class ExperimentConfig:
             seeds=self.seeds,
         )
 
-    def echo(self) -> dict:
-        return {
-            "model": self.model,
-            "architecture": self.architecture,
-            "labels": self.labels,
-            "images": self.images,
-            "iterations": self.iterations,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "eval_every": self.eval_every,
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
-
 
 def parse_seeds(value: str) -> tuple[int, ...]:
     """Either a count ("10" -> seeds 0..9) or an explicit list ("0,3,7")."""
@@ -185,26 +171,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"labels: expected one of {LABEL_CHOICES}, got {values['labels']}")
     if values["images"] < 2:
         raise ConfigError(f"images: need at least 2, got {values['images']}")
-    if values["iterations"] < 1:
-        raise ConfigError(f"iterations: must be >= 1, got {values['iterations']}")
-    if values["learning_rate"] <= 0:
-        raise ConfigError(f"learning_rate: must be > 0, got {values['learning_rate']}")
-    if values["batch_size"] < 0:
-        raise ConfigError(f"batch_size: must be >= 0, got {values['batch_size']}")
-    if values["eval_every"] < 1:
-        raise ConfigError(f"eval_every: must be >= 1, got {values['eval_every']}")
-    return ExperimentConfig(
-        model=values["model"],
-        architecture=values["architecture"],
-        labels=values["labels"],
-        images=values["images"],
-        iterations=values["iterations"],
-        learning_rate=values["learning_rate"],
-        batch_size=values["batch_size"],
-        eval_every=values["eval_every"],
-        seeds=parse_seeds(values["seeds"]),
-        out_dir=values["out_dir"],
-    )
+    config = ExperimentConfig(**{**values, "seeds": parse_seeds(values["seeds"])})
+    try:
+        config.train_config().validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
 
 
 def _fmt(value: float) -> str:
@@ -269,7 +241,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     csv_path = out_dir / f"metrics_{stem}.csv"
     write_metrics_csv(csv_path, result)
     summary = {
-        "config": config.echo(),
+        "config": asdict(config),
         "final": _final_summary(result),
         "wall_time_seconds": wall,
     }
@@ -413,7 +385,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
         print("reproduction discrepancy: QCCNN final loss is not below the CNN baseline "
               "for every pair under this seed set")
     summary = {
-        "config": config.echo(),
+        "config": asdict(config),
         "panels": [str(p) for p in written],
         "runs": {
             f"{m}_{a}_{l}label": _final_summary(r) for (m, a, l), r in sorted(results.items())

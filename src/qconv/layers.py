@@ -2,12 +2,8 @@
 
 Feature tensors are numpy float arrays of shape (height, width,
 channels); batched variants carry a leading sample axis.  ``forward``
-returns ``(output, cache)`` and ``backward`` consumes that cache.  The
-only state evaluations of a layer share is `QuantumConv`'s memo of
-read-only feature arrays phi: an entry is reused only for the same
-input array with unchanged shape, dtype and bytes, and is dropped when
-that array is garbage collected.  Phi depends on nothing else, so
-threads racing on the memo at most compute it twice.
+returns ``(output, cache)`` and ``backward`` consumes that cache.
+Layers keep no state between calls beyond their parameters.
 
 Convolution layers apply every filter to every input channel
 independently; input channel c under filter f lands on output channel
@@ -20,13 +16,15 @@ the layer computes the circuit-dependent coefficients once per call and
 evaluates every window with one matrix product.  It is the package's
 only circuit evaluator; the tests check it against dense-matrix
 oracles, and ``qconv gradcheck`` checks its gradients against finite
-differences.
+differences.  phi depends only on the input, so a fixed set is
+encoded once (`QuantumConv.encode`, `Network.encode`) and the
+`Encoded` value, or any mini-batch indexed from it, is forwarded with
+`QuantumConv.forward_encoded`.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +87,30 @@ def _batched_windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
     return np.moveaxis(win, 3, 1)
 
 
+def _window_offsets(window: WindowSpec, rows: int, cols: int) -> list[tuple[slice, slice]]:
+    """Padded-input row and column slices under each window offset, row-major."""
+    m, n, s = window.height, window.width, window.stride
+    return [(slice(a, a + s * (rows - 1) + 1, s), slice(b, b + s * (cols - 1) + 1, s))
+            for a in range(m) for b in range(n)]
+
+
 def _scatter_windows(dwin: np.ndarray, window: WindowSpec, input_shape) -> np.ndarray:
-    """Overlap-add per-window input gradients back onto the input tensor."""
+    """Overlap-add per-window input gradients (S, d, rows, cols, m, n) onto the input.
+
+    One strided add per window offset, taken in reverse, so that every
+    input cell sums its terms in the output cells' row-major order.  The
+    sample axis is innermost while summing, so each add moves contiguous
+    runs of samples rather than a few channels at a time.
+    """
     samples, d, rows, cols, m, n = dwin.shape
     _, v, h, _ = input_shape
-    p, s = window.padding, window.stride
-    dxp = np.zeros((samples, v + 2 * p, h + 2 * p, d))
-    for i in range(rows):
-        for j in range(cols):
-            dxp[:, i * s : i * s + m, j * s : j * s + n, :] += np.moveaxis(
-                dwin[:, :, i, j], 1, 3
-            )
-    return dxp[:, p : p + v, p : p + h, :] if p else dxp
+    p = window.padding
+    dxp = np.zeros((v + 2 * p, h + 2 * p, d, samples))
+    dwin = dwin.transpose(4, 5, 2, 3, 1, 0).copy()  # (m, n, rows, cols, d, S)
+    for k, (r, c) in reversed(list(enumerate(_window_offsets(window, rows, cols)))):
+        dxp[r, c] += dwin[k // n, k % n]
+    dx = np.moveaxis(dxp, 3, 0)
+    return dx[:, p : p + v, p : p + h, :] if p else dx
 
 
 def _split_channels(up: np.ndarray, d: int, filters: int) -> np.ndarray:
@@ -178,6 +188,25 @@ def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray
     return out
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """A batch as `QuantumConv` sees it: read-only phi of shape
+    (3**n, samples, windows per sample), in the memory order of the
+    (3**n, windows) product, and the raw batch's shape.  Indexing takes
+    samples, so ``inputs[idx]`` is a mini-batch of raw and encoded
+    inputs alike."""
+
+    phi: np.ndarray
+    in_shape: tuple
+
+    def __post_init__(self):
+        self.phi.flags.writeable = False
+
+    def __getitem__(self, idx) -> Encoded:
+        phi = self.phi[:, idx]
+        return Encoded(phi, (phi.shape[1],) + tuple(self.in_shape[1:]))
+
+
 class QuantumConv:
     """Convolution whose feature map is the parametric quantum circuit.
 
@@ -197,7 +226,7 @@ class QuantumConv:
     through the circuit blocks once, meeting the parity observable
     pulled back to each block.  Both gradients satisfy the quarter-turn
     shift rule ``df/dt = f(t + pi/4) - f(t - pi/4)`` exactly, which the
-    tests check.
+    tests check.  ``forward(x)`` is ``forward_encoded(encode(x))``.
     """
 
     def __init__(self, window: WindowSpec, filters: int, depth: int, rng: np.random.Generator):
@@ -212,7 +241,6 @@ class QuantumConv:
         self.filters = filters
         self.circuit = build_circuit(window.area, depth)
         self.angles = rng.uniform(0.0, 2.0 * np.pi, size=(filters, self.circuit.param_count))
-        self._phi_memo: dict[int, tuple] = {}  # id(input) -> ((shape, dtype, bytes), phi)
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -221,22 +249,18 @@ class QuantumConv:
     def out_shape(self, input_shape):
         return output_shape(input_shape, self.window, self.filters)
 
-    def _features(self, xb: np.ndarray) -> np.ndarray:
-        """Read-only phi of xb's windows, reused while xb lives with equal shape, dtype and bytes."""
-        key = (xb.shape, xb.dtype.str, xb.tobytes())
-        entry = self._phi_memo.get(id(xb))
-        if entry is not None and entry[0] == key:
-            return entry[1]
+    def encode(self, xb: np.ndarray) -> Encoded:
+        """phi of every window of xb; depends on the input only, never on the angles."""
+        rows, cols, d = output_shape(xb.shape[1:], self.window)
         phi = _trig_features(_batched_windows(xb, self.window).reshape(-1, self.circuit.n_qubits))
-        phi.flags.writeable = False
-        if entry is None:
-            weakref.finalize(xb, self._phi_memo.pop, id(xb), None)
-        self._phi_memo[id(xb)] = (key, phi)
-        return phi
+        return Encoded(phi.reshape(phi.shape[0], xb.shape[0], d * rows * cols), xb.shape)
 
     def forward(self, xb: np.ndarray):
-        rows, cols, _ = output_shape(xb.shape[1:], self.window)
-        s, d = xb.shape[0], xb.shape[3]
+        return self.forward_encoded(self.encode(xb))
+
+    def forward_encoded(self, enc: Encoded):
+        s, _, _, d = enc.in_shape
+        rows, cols, _ = output_shape(enc.in_shape[1:], self.window)
         n = self.circuit.n_qubits
         gates = _block_gates(self.circuit, self.angles)
         # parity observable pulled back through blocks depth-1 .. 0; observables[b]
@@ -248,11 +272,11 @@ class QuantumConv:
             obs = observables[block] = np.swapaxes(g, -1, -2) @ obs @ g
         basis = _pauli_basis(n)
         coeffs = obs.reshape(self.filters, -1) @ basis.T / 2**n  # Tr(O P) = sum(O * P), P = P^T
-        phi = self._features(xb)
+        phi = enc.phi.reshape(3**n, -1)
         feats = (coeffs @ phi).T
         out = _merge_channels(feats.reshape(s, d, rows, cols, self.filters))
         cache = {"phi": phi, "coeffs": coeffs, "basis": basis, "gates": gates,
-                 "observables": observables, "dims": (s, d, rows, cols), "in_shape": xb.shape}
+                 "observables": observables, "dims": (s, d, rows, cols), "in_shape": enc.in_shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
@@ -345,17 +369,11 @@ class MaxPool:
     def out_shape(self, input_shape):
         return output_shape(input_shape, self.window)
 
-    def _offsets(self, rows: int, cols: int) -> list[tuple[slice, slice]]:
-        """Padded-input row and column slices under each window offset, row-major."""
-        m, n, s = self.window.height, self.window.width, self.window.stride
-        return [(slice(a, a + s * (rows - 1) + 1, s), slice(b, b + s * (cols - 1) + 1, s))
-                for a in range(m) for b in range(n)]
-
     def forward(self, xb: np.ndarray):
         rows, cols, _ = output_shape(xb.shape[1:], self.window)
         p = self.window.padding
         xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
-        (r0, c0), *rest = self._offsets(rows, cols)
+        (r0, c0), *rest = _window_offsets(self.window, rows, cols)
         out = xp[:, r0, c0].copy()
         argmax = np.zeros(out.shape, dtype=np.int64)
         for k, (r, c) in enumerate(rest, 1):
@@ -372,7 +390,7 @@ class MaxPool:
         p = self.window.padding
         argmax = cache["argmax"]
         dxp = np.zeros((samples, v + 2 * p, h + 2 * p, d))
-        offsets = list(enumerate(self._offsets(*argmax.shape[1:3])))
+        offsets = list(enumerate(_window_offsets(self.window, *argmax.shape[1:3])))
         for k, (r, c) in reversed(offsets):
             dxp[:, r, c] += np.where(argmax == k, upstream, 0.0)
         dx = dxp[:, p : p + v, p : p + h, :] if p else dxp
@@ -432,30 +450,34 @@ class Network:
     def param_arrays(self) -> list[np.ndarray]:
         return [a for layer in self.layers for a in layer.params]
 
-    def forward_batch(self, xb: np.ndarray):
-        out = xb
-        caches = []
-        for layer in self.layers:
+    def encode(self, images: np.ndarray):
+        """The images as the first layer takes them: `Encoded` for a `QuantumConv`."""
+        first = self.layers[0]
+        return first.encode(images) if isinstance(first, QuantumConv) else images
+
+    def forward_batch(self, xb):
+        """Forward a raw batch or one made by `encode` (or indexed from it)."""
+        first, *rest = self.layers
+        out, cache = first.forward_encoded(xb) if isinstance(xb, Encoded) else first.forward(xb)
+        caches = [cache]
+        for layer in rest:
             out, cache = layer.forward(out)
             caches.append(cache)
         return out, caches
 
-    def backward_batch(self, dpred: np.ndarray, caches, need_dx: bool = False):
+    def backward_batch(self, dpred: np.ndarray, caches) -> list[np.ndarray]:
+        """Flat list of parameter gradients; the input gradient is not formed."""
         grads: list[list[np.ndarray]] = [None] * len(self.layers)
         upstream = dpred
         for i in range(len(self.layers) - 1, -1, -1):
-            want_dx = need_dx or i > 0
-            layer_grads, upstream = self.layers[i].backward(upstream, caches[i], want_dx)
-            grads[i] = layer_grads
-        flat = [g for layer_grads in grads for g in layer_grads]
-        return flat, upstream
+            grads[i], upstream = self.layers[i].backward(upstream, caches[i], i > 0)
+        return [g for layer_grads in grads for g in layer_grads]
 
-    def loss_and_gradients(self, xb: np.ndarray, targets: np.ndarray):
+    def loss_and_gradients(self, xb, targets: np.ndarray):
         """Batch loss, flat parameter gradient, and predictions."""
         pred, caches = self.forward_batch(xb)
         loss, dpred = mse_loss_batch(pred, targets)
-        grads, _ = self.backward_batch(dpred, caches)
-        return loss, flatten_arrays(grads), pred
+        return loss, flatten_arrays(self.backward_batch(dpred, caches)), pred
 
     def get_flat_params(self) -> np.ndarray:
         return flatten_arrays(self.param_arrays)

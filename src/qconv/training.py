@@ -119,8 +119,8 @@ def evaluate(net: Network, dataset: Dataset):
     return _evaluate(net, *_stack(dataset, net.n_classes))
 
 
-def _evaluate(net: Network, images: np.ndarray, labels: np.ndarray, onehot: np.ndarray):
-    pred, _ = net.forward_batch(images)
+def _evaluate(net: Network, inputs, labels: np.ndarray, onehot: np.ndarray):
+    pred, _ = net.forward_batch(inputs)
     correct = int(np.sum(pred.argmax(axis=1) == labels))
     return correct / labels.size, float(np.mean((pred - onehot) ** 2))
 
@@ -129,14 +129,16 @@ def train(net: Network, train_set: Dataset, test_set: Dataset,
           config: TrainConfig) -> list[MetricsRecord]:
     """Run the iteration loop; metrics are recorded after the update at every
     multiple of ``eval_every`` and at the final iteration.  Both sets are
-    stacked once, so layers see the same arrays at every evaluation."""
+    stacked and encoded through the first layer once; mini-batches index
+    the encoded training set."""
     config.validate()
     if not train_set.samples:
         raise ValueError("cannot train on an empty training set")
     if not test_set.samples:
         raise ValueError("cannot evaluate on an empty test set")
-    train_arrays, test_arrays = _stack(train_set, net.n_classes), _stack(test_set, net.n_classes)
-    images, _, targets = train_arrays
+    images, train_labels, targets = _stack(train_set, net.n_classes)
+    test_images, test_labels, test_onehot = _stack(test_set, net.n_classes)
+    inputs, test_inputs = net.encode(images), net.encode(test_images)
     n = images.shape[0]
     params = net.get_flat_params()
     state = init_adam(params.size, config.learning_rate)
@@ -145,17 +147,17 @@ def train(net: Network, train_set: Dataset, test_set: Dataset,
         if config.batch_size and config.batch_size < n:
             start = ((it - 1) * config.batch_size) % n
             idx = np.arange(start, start + config.batch_size) % n
-            xb, tb = images[idx], targets[idx]
+            xb, tb = inputs[idx], targets[idx]
         else:
-            xb, tb = images, targets
+            xb, tb = inputs, targets
         loss, grads, _ = net.loss_and_gradients(xb, tb)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite training loss at iteration {it}")
         params, state = adam_step(params, grads, state)
         net.set_flat_params(params)
         if it % config.eval_every == 0 or it == config.iterations:
-            train_loss = _evaluate(net, *train_arrays)[1]
-            test_accuracy, test_loss = _evaluate(net, *test_arrays)
+            train_loss = _evaluate(net, inputs, train_labels, targets)[1]
+            test_accuracy, test_loss = _evaluate(net, test_inputs, test_labels, test_onehot)
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise TrainingDivergedError(f"non-finite evaluation loss at iteration {it}")
             records.append(MetricsRecord(it, train_loss, test_loss, test_accuracy))

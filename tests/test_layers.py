@@ -1,5 +1,7 @@
 """Layer forward/backward correctness against loop oracles and finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -310,54 +312,60 @@ def test_pauli_basis_is_built_once_and_read_only():
         basis[0, 0] = 2.0
 
 
-def test_quantum_conv_reuses_phi_of_the_same_array(monkeypatch):
-    calls = count_trig_features(monkeypatch)
+def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():
     layer = QuantumConv(WIN, filters=3, depth=2, rng=np.random.default_rng(30))
-    x = np.random.default_rng(31).random((4, 3, 3, 2))
-    first, cache = layer.forward(x)
-    second, _ = layer.forward(x)
-    assert len(calls) == 1
-    assert not cache["phi"].flags.writeable
-    fresh = QuantumConv(WIN, filters=3, depth=2, rng=np.random.default_rng(0))
-    fresh.angles[...] = layer.angles
-    np.testing.assert_array_equal(second, first)
-    np.testing.assert_array_equal(second, fresh.forward(x.copy())[0])
+    x = np.random.default_rng(31).random((6, 3, 3, 2))
+    enc = layer.encode(x)
+    assert enc.phi.shape == (81, 6, 2 * 2 * 2) and enc.in_shape == x.shape
+    for idx in (np.arange(6), np.array([4, 5, 0, 1]), np.array([2])):
+        got, cache = layer.forward_encoded(enc[idx])
+        want, want_cache = layer.forward(x[idx])
+        assert got.tobytes() == want.tobytes()
+        assert cache["in_shape"] == want_cache["in_shape"] == x[idx].shape
+        upstream = np.random.default_rng(32).standard_normal(got.shape)
+        (dangles,), dx = layer.backward(upstream, cache)
+        (want_dangles,), want_dx = layer.backward(upstream, want_cache)
+        assert dangles.tobytes() == want_dangles.tobytes() and dx.tobytes() == want_dx.tobytes()
 
 
-def test_quantum_conv_recomputes_phi_after_in_place_edit(monkeypatch):
-    calls = count_trig_features(monkeypatch)
-    layer = QuantumConv(WIN, filters=2, depth=2, rng=np.random.default_rng(32))
-    x = np.random.default_rng(33).random((1, 3, 3, 1))
-    layer.forward(x)
-    layer.forward(x)
-    x[0, 1, 1, 0] += 0.5  # shared by every window
-    out, _ = layer.forward(x)
-    assert len(calls) == 2
-    for f in range(2):
-        for i, j, c, values in oracles.windows(x[0], WIN):
-            want = oracles.feature(layer.circuit, layer.angles[f], values)
-            assert out[0, i, j, c * 2 + f] == pytest.approx(want, abs=1e-12)
+def test_encoded_is_frozen_and_read_only():
+    layer = QuantumConv(WIN, filters=2, depth=1, rng=np.random.default_rng(33))
+    enc = layer.encode(np.random.default_rng(34).random((3, 3, 3, 1)))
+    for phi in (enc.phi, enc[np.array([0, 2])].phi, enc[1:].phi):
+        assert not phi.flags.writeable
+        with pytest.raises(ValueError):
+            phi[0, 0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        enc.phi = np.zeros(enc.phi.shape)
 
 
-def test_quantum_conv_memo_lives_only_as_long_as_its_input():
-    net = build_network("qccnn", "two-layer", 5, seed=34)
-    first, second = net.layers[0], net.layers[1]
-    x = np.random.default_rng(35).random((3, 3, 3, 1))
+def test_quantum_conv_keeps_no_state_between_calls():
+    net = build_network("qccnn", "two-layer", 5, seed=35)
+    x = np.random.default_rng(36).random((3, 3, 3, 1))
     net.forward_batch(x)
-    assert len(first._phi_memo) == 1
-    assert second._phi_memo == {}  # the first layer's output is gone after the pass
-    del x
-    assert first._phi_memo == {}
+    net.forward_batch(net.encode(x))
+    for layer in net.layers[:2]:
+        assert set(vars(layer)) == {"window", "filters", "circuit", "angles"}
 
 
-def test_one_layer_training_builds_phi_once_per_fixed_set(monkeypatch):
+def assert_phi_built_once_per_set(monkeypatch, batch_size: int):
+    """A 20-iteration one-layer run on 80 training images builds phi once per set."""
     calls = count_trig_features(monkeypatch)
-    train_set, test_set = split(generate_dataset(40, seed=36), 0.8, seed=37)
+    train_set, test_set = split(generate_dataset(100, seed=36), 0.8, seed=37)
+    assert len(train_set) == 80
     net = build_network("qccnn", "one-layer", 5, seed=38)
-    config = TrainConfig(iterations=20, eval_every=10, seeds=(0,))
+    config = TrainConfig(iterations=20, batch_size=batch_size, eval_every=10, seeds=(0,))
     records = train(net, train_set, test_set, config)
     assert [r.iteration for r in records] == [10, 20]
     assert calls == [(4 * len(train_set), 4), (4 * len(test_set), 4)]
+
+
+def test_one_layer_training_builds_phi_once_per_fixed_set(monkeypatch):
+    assert_phi_built_once_per_set(monkeypatch, batch_size=0)
+
+
+def test_one_layer_mini_batch_training_builds_phi_once_per_fixed_set(monkeypatch):
+    assert_phi_built_once_per_set(monkeypatch, batch_size=40)
 
 
 # ---------------------------------------------------------------------------
