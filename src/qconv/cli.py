@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,58 +54,8 @@ PANELS = {
     "d": ("loss", 5),
 }
 
-_CONFIG_COERCERS = {
-    "model": str,
-    "architecture": str,
-    "labels": int,
-    "images": int,
-    "iterations": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "eval_every": int,
-    "seeds": str,
-    "out_dir": str,
-}
-
-DEFAULTS = {
-    "model": "qccnn",
-    "architecture": "one-layer",
-    "labels": 2,
-    "images": 1000,
-    "iterations": 1000,
-    "learning_rate": 0.01,
-    "batch_size": 0,
-    "eval_every": 10,
-    "seeds": ",".join(str(s) for s in DEFAULT_SEEDS),
-    "out_dir": "results",
-}
-
-
 class ConfigError(ValueError):
     """Invalid configuration value, file, or flag."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: str
-    architecture: str
-    labels: int
-    images: int
-    iterations: int
-    learning_rate: float
-    batch_size: int
-    eval_every: int
-    seeds: tuple[int, ...]
-    out_dir: str
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            iterations=self.iterations,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            eval_every=self.eval_every,
-            seeds=self.seeds,
-        )
 
 
 def parse_seeds(value: str) -> tuple[int, ...]:
@@ -128,6 +78,46 @@ def parse_seeds(value: str) -> tuple[int, ...]:
     return seeds
 
 
+_CHOICES = {"model": MODELS, "architecture": ARCHITECTURES, "labels": LABEL_CHOICES}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every `train`/`repro` setting and its default.  The field names are
+    the config-file keys; the training fields share `TrainConfig`'s names
+    and defaults.  Construction validates."""
+
+    model: str = "qccnn"
+    architecture: str = "one-layer"
+    labels: int = 2
+    images: int = 1000
+    iterations: int = TrainConfig.iterations
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    eval_every: int = TrainConfig.eval_every
+    seeds: tuple[int, ...] = TrainConfig.seeds
+    out_dir: str = "results"
+
+    def __post_init__(self):
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name}: expected one of {choices}, got {getattr(self, name)!r}")
+        if self.images < 2:
+            raise ConfigError(f"images: need at least 2, got {self.images}")
+        try:
+            self.train_config().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+
+
+# Config-file key -> parser of its text: the field default's type, or parse_seeds.
+_PARSERS = {f.name: parse_seeds if f.name == "seeds" else type(f.default)
+            for f in fields(ExperimentConfig)}
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key = value lines; unknown keys are rejected by name."""
     try:
@@ -143,10 +133,12 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_COERCERS:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}: line {line_no}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_COERCERS[key](text.strip())
+            values[key] = _PARSERS[key](text.strip())
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"{path}: line {line_no}: bad value for {key}: {text.strip()!r}") from exc
     return values
@@ -154,29 +146,16 @@ def parse_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config file, then explicit command-line flags."""
-    values = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key in _CONFIG_COERCERS:
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, parse in _PARSERS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
-    if values["model"] not in MODELS:
-        raise ConfigError(f"model: expected one of {MODELS}, got {values['model']!r}")
-    if values["architecture"] not in ARCHITECTURES:
-        raise ConfigError(
-            f"architecture: expected one of {ARCHITECTURES}, got {values['architecture']!r}"
-        )
-    if values["labels"] not in LABEL_CHOICES:
-        raise ConfigError(f"labels: expected one of {LABEL_CHOICES}, got {values['labels']}")
-    if values["images"] < 2:
-        raise ConfigError(f"images: need at least 2, got {values['images']}")
-    config = ExperimentConfig(**{**values, "seeds": parse_seeds(values["seeds"])})
-    try:
-        config.train_config().validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+            values[key] = parse(flag)
+    return ExperimentConfig(**values)
+
+
+# MetricsRecord's series, in CSV column and summary order.
+_SERIES = ("train_loss", "test_loss", "test_accuracy")
 
 
 def _fmt(value: float) -> str:
@@ -185,29 +164,18 @@ def _fmt(value: float) -> str:
 
 def write_metrics_csv(path: Path, result: ExperimentResult) -> None:
     """Per-seed and mean series, 17 significant digits, stable schema."""
+    prefixes = [f"seed{seed}" for seed in result.seeds] + ["mean"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["iteration"]
-        for seed in result.seeds:
-            header += [f"seed{seed}_train_loss", f"seed{seed}_test_loss", f"seed{seed}_test_accuracy"]
-        header += ["mean_train_loss", "mean_test_loss", "mean_test_accuracy"]
-        writer.writerow(header)
+        writer.writerow(["iteration"] + [f"{p}_{m}" for p in prefixes for m in _SERIES])
         for i, mean in enumerate(result.mean):
-            row = [str(mean.iteration)]
-            for run in result.per_seed:
-                row += [_fmt(run[i].train_loss), _fmt(run[i].test_loss), _fmt(run[i].test_accuracy)]
-            row += [_fmt(mean.train_loss), _fmt(mean.test_loss), _fmt(mean.test_accuracy)]
-            writer.writerow(row)
+            records = [run[i] for run in result.per_seed] + [mean]
+            writer.writerow([str(mean.iteration)] + [_fmt(getattr(r, m)) for r in records for m in _SERIES])
 
 
 def _final_summary(result: ExperimentResult) -> dict:
     final = result.mean[-1]
-    return {
-        "iteration": final.iteration,
-        "mean_train_loss": final.train_loss,
-        "mean_test_loss": final.test_loss,
-        "mean_test_accuracy": final.test_accuracy,
-    }
+    return {"iteration": final.iteration, **{f"mean_{m}": getattr(final, m) for m in _SERIES}}
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -266,8 +234,7 @@ def _central_difference(fn, values: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def run_gradient_check(cases: int, seed: int, depth: int | None = None,
-                       tolerance: float = GRADCHECK_TOLERANCE) -> dict:
+def run_gradient_check(cases: int, seed: int, depth: int | None = None) -> dict:
     """Randomized check of `QuantumConv.backward` against central differences.
 
     Each case is a random layer (1x2 or 2x2 window, 1-3 filters) on one
@@ -303,10 +270,10 @@ def run_gradient_check(cases: int, seed: int, depth: int | None = None,
                          "depth": d, "kind": kind}
     return {
         "cases": cases,
-        "tolerance": tolerance,
+        "tolerance": GRADCHECK_TOLERANCE,
         "max_deviation": worst["deviation"],
         "worst": worst,
-        "passed": worst["deviation"] <= tolerance,
+        "passed": worst["deviation"] <= GRADCHECK_TOLERANCE,
     }
 
 
@@ -421,21 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_experiment_flags(p, with_model=True):
         p.add_argument("--config", help="flat key = value config file")
-        if with_model:
-            p.add_argument("--model", choices=MODELS, help="default qccnn")
-            p.add_argument("--arch", dest="architecture", choices=ARCHITECTURES,
-                           help="default one-layer")
-            p.add_argument("--labels", type=int, choices=LABEL_CHOICES, help="default 2")
-        p.add_argument("--images", type=int, help="dataset size per seed (default 1000)")
-        p.add_argument("--iterations", type=int, help="training iterations (default 1000)")
-        p.add_argument("--lr", dest="learning_rate", type=float,
-                       help="ADAM learning rate (default 0.01)")
-        p.add_argument("--batch-size", dest="batch_size", type=int,
-                       help="mini-batch size, 0 = full batch (default 0)")
-        p.add_argument("--eval-every", dest="eval_every", type=int,
-                       help="record metrics every this many iterations (default 10)")
-        p.add_argument("--seeds", help="seed count or comma list (default 0..9)")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory (default results)")
+        settings = [("--model", "model", ""), ("--arch", "architecture", ""),
+                    ("--labels", "labels", "")] if with_model else []
+        settings += [
+            ("--images", "images", "dataset size per seed"),
+            ("--iterations", "iterations", "training iterations"),
+            ("--lr", "learning_rate", "ADAM learning rate"),
+            ("--batch-size", "batch_size", "mini-batch size, 0 = full batch"),
+            ("--eval-every", "eval_every", "record metrics every this many iterations"),
+            ("--seeds", "seeds", "seed count or comma list"),
+            ("--out-dir", "out_dir", "output directory"),
+        ]
+        for flag, key, text in settings:
+            # typed as in a config file, except --seeds: argparse would reword parse_seeds' errors
+            default = getattr(ExperimentConfig, key)
+            shown = f"0..{len(default) - 1}" if key == "seeds" else default
+            p.add_argument(flag, dest=key, type=str if key == "seeds" else _PARSERS[key],
+                           choices=_CHOICES.get(key),
+                           help=f"{text} (default {shown})" if text else f"default {shown}")
 
     tr = sub.add_parser("train", help="train one combination, write CSV + summary JSON")
     add_experiment_flags(tr)
@@ -461,10 +431,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

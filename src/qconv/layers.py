@@ -94,23 +94,32 @@ def _window_offsets(window: WindowSpec, rows: int, cols: int) -> list[tuple[slic
             for a in range(m) for b in range(n)]
 
 
-def _scatter_windows(dwin: np.ndarray, window: WindowSpec, input_shape) -> np.ndarray:
-    """Overlap-add per-window input gradients (S, d, rows, cols, m, n) onto the input.
+def _overlap_add(term, window: WindowSpec, rows: int, cols: int, input_shape) -> np.ndarray:
+    """Sum ``term(k)``, window offset k's (rows, cols, d, S) terms, onto the input: (S, v, h, d).
 
     One strided add per window offset, taken in reverse, so that every
     input cell sums its terms in the output cells' row-major order.  The
     sample axis is innermost while summing, so each add moves contiguous
-    runs of samples rather than a few channels at a time.
+    runs of samples rather than a few channels at a time.  ``term`` lets
+    `MaxPool` build each offset's terms as they are added: stacking them
+    first took one more large allocation per call and was slower inside
+    a training step.
     """
-    samples, d, rows, cols, m, n = dwin.shape
-    _, v, h, _ = input_shape
+    samples, v, h, d = input_shape
     p = window.padding
     dxp = np.zeros((v + 2 * p, h + 2 * p, d, samples))
-    dwin = dwin.transpose(4, 5, 2, 3, 1, 0).copy()  # (m, n, rows, cols, d, S)
     for k, (r, c) in reversed(list(enumerate(_window_offsets(window, rows, cols)))):
-        dxp[r, c] += dwin[k // n, k % n]
+        dxp[r, c] += term(k)
     dx = np.moveaxis(dxp, 3, 0)
     return dx[:, p : p + v, p : p + h, :] if p else dx
+
+
+def _scatter_windows(dwin: np.ndarray, window: WindowSpec, input_shape) -> np.ndarray:
+    """Overlap-add per-window input gradients (S, d, rows, cols, m, n) onto the input."""
+    samples, d, rows, cols, m, n = dwin.shape
+    # (m, n, rows, cols, d, S), copied so that each offset's terms are one contiguous block
+    terms = np.ascontiguousarray(dwin.transpose(4, 5, 2, 3, 1, 0))
+    return _overlap_add(lambda k: terms[k // n, k % n], window, rows, cols, input_shape)
 
 
 def _split_channels(up: np.ndarray, d: int, filters: int) -> np.ndarray:
@@ -172,20 +181,30 @@ def _block_gates(spec: CircuitSpec, angles: np.ndarray) -> np.ndarray:
     return gates[..., ladder_permutation(spec), :]
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_pairs(n_qubits: int) -> np.ndarray:
+    """Read-only (n, 2, 2**(n-1)) table: for each qubit q, the basis indices
+    with q's bit clear, then the same indices with it set (qubit 0 leftmost)."""
+    j = np.arange(2**n_qubits)
+    bits = 2 ** np.arange(n_qubits - 1, -1, -1)
+    clear = np.stack([j[(j & b) == 0] for b in bits])
+    table = np.stack((clear, clear + bits[:, None]), axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray:
     """``Tr(z A_q m)`` for symmetric z, m and each qubit q: (F, dim, dim) -> (F, n).
 
     A_q is the Ry generator on qubit q, which equals Ry(pi/2) there:
-    it maps that qubit's amplitudes (a0, a1) to (-a1, a0).
+    it maps that qubit's amplitudes (a0, a1) to (-a1, a0).  Each qubit's
+    products are summed as one contiguous run, rows outer, which fixes
+    the rounding of the result.
     """
-    out = np.empty((z.shape[0], n_qubits))
-    for q in range(n_qubits):
-        split = z.shape[:-1] + (2**q, 2, -1)
-        zq, mq = z.reshape(split), m.reshape(split)
-        out[:, q] = (zq[..., 1, :] * mq[..., 0, :] - zq[..., 0, :] * mq[..., 1, :]).sum(
-            axis=(1, 2, 3)
-        )
-    return out
+    pairs = _bit_pairs(n_qubits)
+    zp, mp = z[..., pairs], m[..., pairs]  # (F, dim, n, 2, dim / 2)
+    terms = zp[..., 1, :] * mp[..., 0, :] - zp[..., 0, :] * mp[..., 1, :]
+    return np.moveaxis(terms, 2, 1).reshape(z.shape[0], n_qubits, -1).sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -386,14 +405,10 @@ class MaxPool:
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         if not need_dx:
             return [], None
-        samples, v, h, d = cache["in_shape"]
-        p = self.window.padding
-        argmax = cache["argmax"]
-        dxp = np.zeros((samples, v + 2 * p, h + 2 * p, d))
-        offsets = list(enumerate(_window_offsets(self.window, *argmax.shape[1:3])))
-        for k, (r, c) in reversed(offsets):
-            dxp[:, r, c] += np.where(argmax == k, upstream, 0.0)
-        dx = dxp[:, p : p + v, p : p + h, :] if p else dxp
+        argmax = np.moveaxis(cache["argmax"], 0, -1)  # samples last, as _overlap_add sums
+        up = np.moveaxis(upstream, 0, -1)
+        dx = _overlap_add(lambda k: np.where(argmax == k, up, 0.0), self.window,
+                          *argmax.shape[:2], cache["in_shape"])
         return [], dx
 
 

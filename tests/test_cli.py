@@ -1,14 +1,23 @@
 """Command-line behavior: outputs, config precedence, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qconv import layers
-from qconv.cli import main, parse_seeds, run_gradient_check
+from qconv.cli import (
+    ExperimentConfig,
+    build_parser,
+    main,
+    parse_seeds,
+    resolve_config,
+    run_gradient_check,
+)
 from qconv.tetris import load_dataset
+from qconv.training import TrainConfig
 
 
 def read_csv(path):
@@ -111,6 +120,38 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert main(["train", "--config", str(cfg), "--iterations", "2"]) == 0
     rows = read_csv(tmp_path / "from_file" / "metrics_cnn_one-layer_2label.csv")
     assert [r[0] for r in rows[1:]] == ["2"]
+
+
+# Every ExperimentConfig field: its config-file text and the matching train flag.
+NON_DEFAULT_SETTINGS = {
+    "model": ("cnn", "--model"),
+    "architecture": ("two-layer", "--arch"),
+    "labels": ("5", "--labels"),
+    "images": ("40", "--images"),
+    "iterations": ("7", "--iterations"),
+    "learning_rate": ("0.05", "--lr"),
+    "batch_size": ("8", "--batch-size"),
+    "eval_every": ("3", "--eval-every"),
+    "seeds": ("2,5", "--seeds"),
+    "out_dir": ("elsewhere", "--out-dir"),
+}
+
+
+def test_config_file_and_flags_resolve_every_setting_alike(tmp_path):
+    assert list(NON_DEFAULT_SETTINGS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, (text, _) in NON_DEFAULT_SETTINGS.items()))
+    flags = [arg for text, flag in NON_DEFAULT_SETTINGS.values() for arg in (flag, text)]
+    from_file = resolve_config(build_parser().parse_args(["train", "--config", str(cfg)]))
+    from_flags = resolve_config(build_parser().parse_args(["train", *flags]))
+    assert from_file == from_flags
+    defaults = ExperimentConfig()
+    for key in NON_DEFAULT_SETTINGS:
+        assert getattr(from_file, key) != getattr(defaults, key), key
+
+
+def test_experiment_defaults_are_the_training_defaults():
+    assert ExperimentConfig().train_config() == TrainConfig()
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):

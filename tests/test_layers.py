@@ -17,6 +17,8 @@ from qconv.layers import (
     QuantumConv,
     WindowSpec,
     _batched_windows,
+    _bit_pairs,
+    _generator_traces,
     _pauli_basis,
     mse_loss_batch,
     output_shape,
@@ -310,6 +312,20 @@ def test_pauli_basis_is_built_once_and_read_only():
     assert basis.shape == (9, 16)
     with pytest.raises(ValueError):
         basis[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 4])
+def test_generator_traces_match_dense_traces(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    dim = 2**n_qubits
+    z, m = (a + np.swapaxes(a, 1, 2) for a in rng.standard_normal((2, 3, dim, dim)))
+    generator = np.array([[0.0, -1.0], [1.0, 0.0]])  # Ry(pi/2): (a0, a1) -> (-a1, a0)
+    want = [[np.trace(z[f] @ oracles.embed_single(generator, q, n_qubits) @ m[f]).real
+             for q in range(n_qubits)] for f in range(3)]
+    np.testing.assert_allclose(_generator_traces(z, m, n_qubits), want, rtol=1e-12, atol=1e-12)
+    assert _bit_pairs(n_qubits) is _bit_pairs(n_qubits)
+    with pytest.raises(ValueError):
+        _bit_pairs(n_qubits)[0, 0, 0] = 1
 
 
 def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():
