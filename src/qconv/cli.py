@@ -66,11 +66,12 @@ def parse_seeds(value: str) -> tuple[int, ...]:
             seeds = tuple(int(part) for part in text.split(",") if part.strip())
         else:
             count = int(text)
-            if count < 1:
-                raise ConfigError(f"seeds: need a positive count, got {count}")
-            seeds = tuple(range(count))
     except ValueError as exc:
         raise ConfigError(f"seeds: cannot parse {value!r}") from exc
+    if "," not in text:
+        if count < 1:
+            raise ConfigError(f"seeds: need a positive count, got {count}")
+        seeds = tuple(range(count))
     if not seeds:
         raise ConfigError(f"seeds: empty seed list from {value!r}")
     if min(seeds) < 0 or len(set(seeds)) < len(seeds):

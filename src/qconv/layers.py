@@ -5,9 +5,12 @@ channels); batched variants carry a leading sample axis.  ``forward``
 returns ``(output, cache)`` and ``backward`` consumes that cache.
 Layers keep no state between calls beyond their parameters.
 
-Convolution layers apply every filter to every input channel
-independently; input channel c under filter f lands on output channel
-``c * filters + f``, giving ``d * k`` output channels.
+Every window layer reads the same windows: one strided slice of the
+zero-padded input per window offset, gathered in (samples, rows, cols,
+channels, offset) order and scattered back from it.  Convolution layers
+apply every filter to every input channel independently; input channel
+c under filter f lands on output channel ``c * filters + f`` (a reshape
+of the (..., channels, filters) products), giving ``d * k`` channels.
 
 `QuantumConv` does not simulate a circuit per window.  With the
 product-state encoding, each filter's output is exactly a trigonometric
@@ -28,7 +31,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .pqc import CircuitSpec, build_circuit, ladder_permutation, parity_signs
 
@@ -76,22 +78,24 @@ def output_shape(input_shape, window: WindowSpec, filters: int = 1) -> tuple[int
     return (rows_span // window.stride + 1, cols_span // window.stride + 1, d * filters)
 
 
-def _batched_windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """All windows of a batch as (samples, channels, rows, cols, m, n)."""
-    output_shape(xb.shape[1:], window)
-    p, s = window.padding, window.stride
-    if p:
-        xb = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0)))
-    win = sliding_window_view(xb, (window.height, window.width), axis=(1, 2))
-    win = win[:, ::s, ::s]  # (S, rows, cols, d, m, n)
-    return np.moveaxis(win, 3, 1)
-
-
 def _window_offsets(window: WindowSpec, rows: int, cols: int) -> list[tuple[slice, slice]]:
     """Padded-input row and column slices under each window offset, row-major."""
     m, n, s = window.height, window.width, window.stride
     return [(slice(a, a + s * (rows - 1) + 1, s), slice(b, b + s * (cols - 1) + 1, s))
             for a in range(m) for b in range(n)]
+
+
+def _window_slices(xb: np.ndarray, window: WindowSpec) -> list[np.ndarray]:
+    """The (S, rows, cols, d) slice of the zero-padded batch under each window offset."""
+    rows, cols, _ = output_shape(xb.shape[1:], window)
+    p = window.padding
+    xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
+    return [xp[:, r, c] for r, c in _window_offsets(window, rows, cols)]
+
+
+def _windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
+    """Every window of a batch as (samples, rows, cols, channels, m*n), values row-major."""
+    return np.stack(_window_slices(xb, window), axis=-1)
 
 
 def _overlap_add(term, window: WindowSpec, rows: int, cols: int, input_shape) -> np.ndarray:
@@ -115,23 +119,11 @@ def _overlap_add(term, window: WindowSpec, rows: int, cols: int, input_shape) ->
 
 
 def _scatter_windows(dwin: np.ndarray, window: WindowSpec, input_shape) -> np.ndarray:
-    """Overlap-add per-window input gradients (S, d, rows, cols, m, n) onto the input."""
-    samples, d, rows, cols, m, n = dwin.shape
-    # (m, n, rows, cols, d, S), copied so that each offset's terms are one contiguous block
-    terms = np.ascontiguousarray(dwin.transpose(4, 5, 2, 3, 1, 0))
-    return _overlap_add(lambda k: terms[k // n, k % n], window, rows, cols, input_shape)
-
-
-def _split_channels(up: np.ndarray, d: int, filters: int) -> np.ndarray:
-    """Upstream (S, rows, cols, d*k) -> (S, d, rows, cols, k)."""
-    s, rows, cols, _ = up.shape
-    return np.moveaxis(up.reshape(s, rows, cols, d, filters), 3, 1)
-
-
-def _merge_channels(feats: np.ndarray) -> np.ndarray:
-    """(S, d, rows, cols, k) -> output tensor (S, rows, cols, d*k)."""
-    s, d, rows, cols, k = feats.shape
-    return np.moveaxis(feats, 1, 3).reshape(s, rows, cols, d * k)
+    """Overlap-add per-window input gradients (S, rows, cols, d, m*n) onto the input."""
+    rows, cols = dwin.shape[1:3]
+    # (m*n, rows, cols, d, S), copied so that each offset's terms are one contiguous block
+    terms = np.ascontiguousarray(dwin.transpose(4, 1, 2, 3, 0))
+    return _overlap_add(terms.__getitem__, window, rows, cols, input_shape)
 
 
 # I, Z and X.  An encoded qubit's density is (I + cos 2t Z + sin 2t X) / 2,
@@ -270,16 +262,13 @@ class QuantumConv:
 
     def encode(self, xb: np.ndarray) -> Encoded:
         """phi of every window of xb; depends on the input only, never on the angles."""
-        rows, cols, d = output_shape(xb.shape[1:], self.window)
-        phi = _trig_features(_batched_windows(xb, self.window).reshape(-1, self.circuit.n_qubits))
-        return Encoded(phi.reshape(phi.shape[0], xb.shape[0], d * rows * cols), xb.shape)
+        phi = _trig_features(_windows(xb, self.window).reshape(-1, self.circuit.n_qubits))
+        return Encoded(phi.reshape(phi.shape[0], xb.shape[0], -1), xb.shape)
 
     def forward(self, xb: np.ndarray):
         return self.forward_encoded(self.encode(xb))
 
     def forward_encoded(self, enc: Encoded):
-        s, _, _, d = enc.in_shape
-        rows, cols, _ = output_shape(enc.in_shape[1:], self.window)
         n = self.circuit.n_qubits
         gates = _block_gates(self.circuit, self.angles)
         # parity observable pulled back through blocks depth-1 .. 0; observables[b]
@@ -292,17 +281,15 @@ class QuantumConv:
         basis = _pauli_basis(n)
         coeffs = obs.reshape(self.filters, -1) @ basis.T / 2**n  # Tr(O P) = sum(O * P), P = P^T
         phi = enc.phi.reshape(3**n, -1)
-        feats = (coeffs @ phi).T
-        out = _merge_channels(feats.reshape(s, d, rows, cols, self.filters))
+        out = (coeffs @ phi).T.reshape(enc.in_shape[:1] + self.out_shape(enc.in_shape[1:]))
         cache = {"phi": phi, "coeffs": coeffs, "basis": basis, "gates": gates,
-                 "observables": observables, "dims": (s, d, rows, cols), "in_shape": enc.in_shape}
+                 "observables": observables, "in_shape": enc.in_shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
-        s, d, rows, cols = cache["dims"]
         phi, coeffs = cache["phi"], cache["coeffs"]
         n = self.circuit.n_qubits
-        u = _split_channels(upstream, d, self.filters).reshape(-1, self.filters)
+        u = upstream.reshape(-1, self.filters)
 
         # d/dtheta sum_w u_wf f_f(x_w) = 2**(1-n) Tr(Z_b A_q M_b), with M the
         # upstream-weighted encoded densities carried forward to block b
@@ -323,8 +310,8 @@ class QuantumConv:
                 pq = phi.reshape(vq.shape)
                 dwin[q] = 2.0 * (np.einsum("ajw,ajw->w", vq[:, 2], pq[:, 1])
                                  - np.einsum("ajw,ajw->w", vq[:, 1], pq[:, 2]))
-            dwin = dwin.T.reshape(s, d, rows, cols, self.window.height, self.window.width)
-            dx = _scatter_windows(dwin, self.window, cache["in_shape"])
+            dx = _scatter_windows(dwin.T.reshape(upstream.shape[:3] + (-1, n)), self.window,
+                                  cache["in_shape"])
         return [dangles], dx
 
 
@@ -349,22 +336,23 @@ class ClassicalConv:
         return output_shape(input_shape, self.window, self.filters)
 
     def forward(self, xb: np.ndarray):
-        win = _batched_windows(xb, self.window)
-        z = np.tensordot(win, self.weights, axes=([4, 5], [1, 2]))  # (S, d, rows, cols, k)
-        out = _merge_channels(np.maximum(z, 0.0) if self.relu else z)
+        win = _windows(xb, self.window)
+        # one 2-D product; @ on the 5-D stack would run a batch of tiny products
+        z = win.reshape(-1, self.window.area) @ self.weights.reshape(self.filters, -1).T
+        out = (np.maximum(z, 0.0) if self.relu else z).reshape(win.shape[:3] + (-1,))
         cache = {"win": win, "z": z, "in_shape": xb.shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         win, z = cache["win"], cache["z"]
-        u = _split_channels(upstream, win.shape[1], self.filters)
+        u = upstream.reshape(z.shape)
         if self.relu:
             u = u * (z > 0.0)  # subgradient 0 at exactly 0
-        dw = np.tensordot(u, win, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
+        dw = (u.T @ win.reshape(z.shape[0], -1)).reshape(self.weights.shape)
         dx = None
         if need_dx:
-            dwin = np.tensordot(u, self.weights, axes=([4], [0]))
-            dx = _scatter_windows(dwin, self.window, cache["in_shape"])
+            dwin = u @ self.weights.reshape(self.filters, -1)
+            dx = _scatter_windows(dwin.reshape(win.shape), self.window, cache["in_shape"])
         return [dw], dx
 
 
@@ -389,14 +377,10 @@ class MaxPool:
         return output_shape(input_shape, self.window)
 
     def forward(self, xb: np.ndarray):
-        rows, cols, _ = output_shape(xb.shape[1:], self.window)
-        p = self.window.padding
-        xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
-        (r0, c0), *rest = _window_offsets(self.window, rows, cols)
-        out = xp[:, r0, c0].copy()
+        first, *rest = _window_slices(xb, self.window)
+        out = first.copy()
         argmax = np.zeros(out.shape, dtype=np.int64)
-        for k, (r, c) in enumerate(rest, 1):
-            v = xp[:, r, c]
+        for k, v in enumerate(rest, 1):
             np.copyto(argmax, k, where=v > out)  # strict: the first maximum keeps a tie
             np.maximum(out, v, out=out)
         cache = {"argmax": argmax, "in_shape": xb.shape}

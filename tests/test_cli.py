@@ -183,6 +183,15 @@ def test_parse_seeds_forms():
         parse_seeds("0,x")
 
 
+def test_non_positive_seed_count_says_so(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seeds = 0\n")
+    for args in (["--seeds", "0"], ["--seeds", "-3"], ["--config", str(cfg)]):
+        assert main(["train", *args, "--out-dir", str(tmp_path / "res")]) == 1
+        assert "seeds: need a positive count" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_negative_seed_is_config_error_before_any_run(tmp_path, capsys):
     assert main(["repro", "--seeds=-1,2", "--images", "30", "--iterations", "2",
                  "--out-dir", str(tmp_path)]) == 1

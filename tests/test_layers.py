@@ -16,10 +16,11 @@ from qconv.layers import (
     Network,
     QuantumConv,
     WindowSpec,
-    _batched_windows,
     _bit_pairs,
     _generator_traces,
     _pauli_basis,
+    _scatter_windows,
+    _windows,
     mse_loss_batch,
     output_shape,
 )
@@ -98,24 +99,24 @@ def test_quantum_conv_rejects_window_past_qubit_limit():
 
 def test_extract_windows_traversal_order():
     image = np.arange(9, dtype=float).reshape(3, 3, 1)
-    win = _batched_windows(image[None], WIN)
-    assert win.shape == (1, 1, 2, 2, 2, 2)
+    win = _windows(image[None], WIN)
+    assert win.shape == (1, 2, 2, 1, 4)
     patches = oracles.windows(image, WIN)
     assert [(i, j) for i, j, _, _ in patches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     np.testing.assert_array_equal(win.reshape(4, 4), [values for *_, values in patches])
-    np.testing.assert_array_equal(win[0, 0, 0, 0], image[0:2, 0:2, 0])
+    np.testing.assert_array_equal(win[0, 0, 0, 0], image[0:2, 0:2, 0].ravel())
 
 
 def test_extract_single_window_covers_input():
     image = np.arange(4, dtype=float).reshape(2, 2, 1)
-    win = _batched_windows(image[None], WIN)
-    assert win.shape == (1, 1, 1, 1, 2, 2)
-    np.testing.assert_array_equal(win[0, 0, 0, 0], image[:, :, 0])
+    win = _windows(image[None], WIN)
+    assert win.shape == (1, 1, 1, 1, 4)
+    np.testing.assert_array_equal(win[0, 0, 0, 0], image[:, :, 0].ravel())
 
 
 def test_extract_padded_windows_each_hold_the_pixel_once():
     image = np.array([[[5.0]]])
-    win = _batched_windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(-1, 2, 2)
+    win = _windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(-1, 4)
     assert len(win) == 4
     for patch in win:
         assert patch.sum() == 5.0
@@ -124,10 +125,10 @@ def test_extract_padded_windows_each_hold_the_pixel_once():
 
 def test_extract_windows_channel_major_order():
     image = np.arange(8, dtype=float).reshape(2, 2, 2)
-    win = _batched_windows(image[None], WIN)
+    win = _windows(image[None], WIN)
     assert [(c, i, j) for i, j, c, _ in oracles.windows(image, WIN)] == [(0, 0, 0), (1, 0, 0)]
     for c in range(2):
-        np.testing.assert_array_equal(win[0, c, 0, 0], image[:, :, c])
+        np.testing.assert_array_equal(win[0, 0, 0, c], image[:, :, c].ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +464,22 @@ def tiling_geometry(draw):
     h = (draw(st.integers(1, 3)) - 1) * stride + n - 2 * padding
     assume(v >= 1 and h >= 1)
     return WindowSpec(m, n, stride, padding), v, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=tiling_geometry(), samples=st.integers(1, 3), channels=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_scatter_windows_is_the_adjoint_of_windows(geometry, samples, channels, seed):
+    """<g, windows(x)> == <scatter(g), x>: gather and scatter agree on the window layout."""
+    window, v, h = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, v, h, channels))
+    win = _windows(x, window)
+    rows, cols, _ = output_shape(x.shape[1:], window)
+    assert win.shape == (samples, rows, cols, channels, window.area)
+    g = rng.standard_normal(win.shape)
+    scattered = (_scatter_windows(g, window, x.shape) * x).sum()
+    assert (g * win).sum() == pytest.approx(scattered, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
