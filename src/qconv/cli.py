@@ -106,7 +106,7 @@ class ExperimentConfig:
         if self.images < 2:
             raise ConfigError(f"images: need at least 2, got {self.images}")
         try:
-            self.train_config().validate()
+            self.train_config()  # TrainConfig checks the training fields
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -198,14 +198,14 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     result = run_experiment(
         config.architecture, config.model, config.labels,
         config.train_config(), n_images=config.images,
     )
     wall = time.perf_counter() - started
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{config.model}_{config.architecture}_{config.labels}label"
     csv_path = out_dir / f"metrics_{stem}.csv"
     write_metrics_csv(csv_path, result)

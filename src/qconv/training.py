@@ -65,13 +65,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one training run.  Construction validates."""
+
     iterations: int = 1000
     learning_rate: float = 0.01
     batch_size: int = 0  # 0 = full batch
     eval_every: int = 10
     seeds: tuple[int, ...] = DEFAULT_SEEDS
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.learning_rate <= 0:
@@ -131,7 +133,6 @@ def train(net: Network, train_set: Dataset, test_set: Dataset,
     multiple of ``eval_every`` and at the final iteration.  Both sets are
     stacked and encoded through the first layer once; mini-batches index
     the encoded training set."""
-    config.validate()
     if not train_set.samples:
         raise ValueError("cannot train on an empty training set")
     if not test_set.samples:
@@ -225,7 +226,6 @@ def run_experiment(architecture: str, model: str, labels: int, config: TrainConf
         )
     if labels not in LABEL_CHOICES:
         raise ValueError(f"labels must be one of {LABEL_CHOICES}, got {labels}")
-    config.validate()
 
     def run_seed(seed: int) -> list[MetricsRecord]:
         ds_seed, split_seed, init_seed = seed_children(seed)

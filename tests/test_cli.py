@@ -91,6 +91,15 @@ def test_train_zero_iterations_is_config_error(capsys):
     assert "config error" in err and "iterations" in err
 
 
+def test_train_unwritable_out_dir_is_io_error_before_training(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("qconv.cli.run_experiment",
+                        lambda *args, **kwargs: pytest.fail("trained before making --out-dir"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["train", "--out-dir", str(blocker / "sub")]) == 3
+    assert "io error" in capsys.readouterr().err
+
+
 def test_train_csv_floats_have_full_precision(tmp_path):
     out = tmp_path / "res"
     main(["train", "--model", "cnn", "--labels", "2", "--images", "30",

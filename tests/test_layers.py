@@ -38,6 +38,26 @@ def oracle_filter(spec, params):
     return lambda values: oracles.parity_expectation(unitary @ oracles.encode_state(values))
 
 
+def finite_difference_gradients(layer, x, upstream, h=1e-5):
+    """Central differences of sum(upstream * layer.forward(x)[0]) with respect to
+    each of `layer.params`, then x: what `layer.backward(upstream, cache)` returns."""
+    def weighted_output(xb):
+        return float((layer.forward(xb)[0] * upstream).sum())
+
+    grads = []
+    for p in layer.params:
+        saved = p.copy()
+
+        def with_param(flat):
+            p[...] = flat.reshape(p.shape)
+            return weighted_output(x)
+
+        grads.append(oracles.central_difference(with_param, saved.ravel(), h).reshape(p.shape))
+        p[...] = saved
+    dx = oracles.central_difference(lambda flat: weighted_output(flat.reshape(x.shape)), x.ravel(), h)
+    return grads, dx.reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # shape arithmetic
 
@@ -97,7 +117,7 @@ def test_quantum_conv_rejects_window_past_qubit_limit():
 # ---------------------------------------------------------------------------
 # window extraction
 
-def test_extract_windows_traversal_order():
+def test_windows_traversal_order():
     image = np.arange(9, dtype=float).reshape(3, 3, 1)
     win = _windows(image[None], WIN)
     assert win.shape == (1, 2, 2, 1, 4)
@@ -107,14 +127,14 @@ def test_extract_windows_traversal_order():
     np.testing.assert_array_equal(win[0, 0, 0, 0], image[0:2, 0:2, 0].ravel())
 
 
-def test_extract_single_window_covers_input():
+def test_single_window_covers_input():
     image = np.arange(4, dtype=float).reshape(2, 2, 1)
     win = _windows(image[None], WIN)
     assert win.shape == (1, 1, 1, 1, 4)
     np.testing.assert_array_equal(win[0, 0, 0, 0], image[:, :, 0].ravel())
 
 
-def test_extract_padded_windows_each_hold_the_pixel_once():
+def test_padded_windows_each_hold_the_pixel_once():
     image = np.array([[[5.0]]])
     win = _windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(-1, 4)
     assert len(win) == 4
@@ -123,7 +143,7 @@ def test_extract_padded_windows_each_hold_the_pixel_once():
         assert (patch != 0).sum() == 1
 
 
-def test_extract_windows_channel_major_order():
+def test_windows_hold_one_channel_each():
     image = np.arange(8, dtype=float).reshape(2, 2, 2)
     win = _windows(image[None], WIN)
     assert [(c, i, j) for i, j, c, _ in oracles.windows(image, WIN)] == [(0, 0, 0), (1, 0, 0)]
@@ -262,25 +282,12 @@ def test_quantum_conv_finite_difference_on_scalar_surrogate():
     rng = np.random.default_rng(6)
     layer = QuantumConv(WIN, filters=2, depth=2, rng=rng)
     x = rng.random((1, 3, 3, 1))
-    upstream_fixed = rng.standard_normal((1, 2, 2, 2))
-
-    def surrogate_angles(flat):
-        saved = layer.angles.copy()
-        layer.angles[...] = flat.reshape(layer.angles.shape)
-        value = float((layer.forward(x)[0] * upstream_fixed).sum())
-        layer.angles[...] = saved
-        return value
-
+    upstream = rng.standard_normal((1, 2, 2, 2))
     out, cache = layer.forward(x)
-    (dangles,), dx = layer.backward(upstream_fixed, cache)
-    fd = oracles.central_difference(surrogate_angles, layer.angles.ravel())
-    np.testing.assert_allclose(dangles.ravel(), fd, atol=1e-5)
-
-    def surrogate_input(flat):
-        return float((layer.forward(flat.reshape(x.shape))[0] * upstream_fixed).sum())
-
-    fd_x = oracles.central_difference(surrogate_input, x.ravel())
-    np.testing.assert_allclose(dx.ravel(), fd_x, atol=1e-5)
+    (dangles,), dx = layer.backward(upstream, cache)
+    (fd_angles,), fd_x = finite_difference_gradients(layer, x, upstream)
+    np.testing.assert_allclose(dangles, fd_angles, atol=1e-5)
+    np.testing.assert_allclose(dx, fd_x, atol=1e-5)
 
 
 def test_quantum_conv_gradient_scatter_conserves_window_sums():
@@ -434,25 +441,9 @@ def test_classical_conv_backward_matches_finite_differences():
     upstream = rng.standard_normal((2, 2, 2, 4))
     out, cache = layer.forward(x)
     (dw,), dx = layer.backward(upstream, cache)
-
-    def surrogate_weights(flat):
-        saved = layer.weights.copy()
-        layer.weights[...] = flat.reshape(layer.weights.shape)
-        value = float((layer.forward(x)[0] * upstream).sum())
-        layer.weights[...] = saved
-        return value
-
-    np.testing.assert_allclose(
-        dw.ravel(), oracles.central_difference(surrogate_weights, layer.weights.ravel()),
-        atol=1e-6,
-    )
-
-    def surrogate_input(flat):
-        return float((layer.forward(flat.reshape(x.shape))[0] * upstream).sum())
-
-    np.testing.assert_allclose(
-        dx.ravel(), oracles.central_difference(surrogate_input, x.ravel()), atol=1e-6
-    )
+    (fd_w,), fd_x = finite_difference_gradients(layer, x, upstream)
+    np.testing.assert_allclose(dw, fd_w, atol=1e-6)
+    np.testing.assert_allclose(dx, fd_x, atol=1e-6)
 
 
 @st.composite
@@ -500,23 +491,9 @@ def test_classical_conv_matches_oracles_on_any_geometry(geometry, samples, chann
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.shape)
     (dw,), dx = layer.backward(upstream, cache)
-
-    def surrogate_weights(flat):
-        saved = layer.weights.copy()
-        layer.weights[...] = flat.reshape(layer.weights.shape)
-        value = float((layer.forward(x)[0] * upstream).sum())
-        layer.weights[...] = saved
-        return value
-
-    def surrogate_input(flat):
-        return float((layer.forward(flat.reshape(x.shape))[0] * upstream).sum())
-
-    np.testing.assert_allclose(
-        dw.ravel(), oracles.central_difference(surrogate_weights, layer.weights.ravel()), atol=1e-6
-    )
-    np.testing.assert_allclose(
-        dx.ravel(), oracles.central_difference(surrogate_input, x.ravel()), atol=1e-6
-    )
+    (fd_w,), fd_x = finite_difference_gradients(layer, x, upstream)
+    np.testing.assert_allclose(dw, fd_w, atol=1e-6)
+    np.testing.assert_allclose(dx, fd_x, atol=1e-6)
 
 
 def test_relu_subgradient_is_zero_at_zero():
@@ -570,13 +547,8 @@ def test_pool_matches_loop_oracle_and_routes_gradients():
         np.testing.assert_allclose(out[s], oracles.naive_max_pool(x[s], pool.window), atol=1e-15)
     upstream = rng.standard_normal(out.shape)
     _, dx = pool.backward(upstream, cache)
-
-    def surrogate(flat):
-        return float((pool.forward(flat.reshape(x.shape))[0] * upstream).sum())
-
-    np.testing.assert_allclose(
-        dx.ravel(), oracles.central_difference(surrogate, x.ravel(), h=1e-7), atol=1e-6
-    )
+    np.testing.assert_allclose(dx, finite_difference_gradients(pool, x, upstream, h=1e-7)[1],
+                               atol=1e-6)
 
 
 def test_pool_nan_in_window_reaches_its_output_cell():
@@ -634,25 +606,10 @@ def test_dense_backward_matches_finite_differences():
     upstream = rng.standard_normal((4, 3))
     out, cache = layer.forward(x)
     (dw, db), dx = layer.backward(upstream, cache)
-
-    def surrogate(flat):
-        saved = layer.weights.copy(), layer.bias.copy()
-        layer.weights[...] = flat[:18].reshape(3, 6)
-        layer.bias[...] = flat[18:]
-        value = float((layer.forward(x)[0] * upstream).sum())
-        layer.weights[...], layer.bias[...] = saved
-        return value
-
-    flat = np.concatenate([layer.weights.ravel(), layer.bias])
-    fd = oracles.central_difference(surrogate, flat)
-    np.testing.assert_allclose(np.concatenate([dw.ravel(), db]), fd, atol=1e-6)
-
-    def surrogate_x(flat_x):
-        return float((layer.forward(flat_x.reshape(x.shape))[0] * upstream).sum())
-
-    np.testing.assert_allclose(
-        dx.ravel(), oracles.central_difference(surrogate_x, x.ravel()), atol=1e-6
-    )
+    (fd_w, fd_b), fd_x = finite_difference_gradients(layer, x, upstream)
+    np.testing.assert_allclose(dw, fd_w, atol=1e-6)
+    np.testing.assert_allclose(db, fd_b, atol=1e-6)
+    np.testing.assert_allclose(dx, fd_x, atol=1e-6)
 
 
 def test_dense_rejects_wrong_width():
@@ -686,7 +643,7 @@ def test_mse_gradient_matches_finite_differences():
     np.testing.assert_allclose(grad.ravel(), fd, atol=1e-8)
 
 
-def test_mse_rejects_length_mismatch():
+def test_mse_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         mse_loss_batch(np.array([[1.0, 2.0]]), np.array([[1.0]]))
 

@@ -1,5 +1,6 @@
-"""The circuit: its layout, and the encoding, evolution, features and exact
-shift-rule gradients that `QuantumConv` computes for it, one window at a time."""
+"""The circuit: its layout, gates and parity signs, and the encoding,
+evolution, features and exact shift-rule gradients that `QuantumConv`
+computes for it, one window at a time."""
 
 import functools
 import itertools
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qconv.layers import QuantumConv, WindowSpec, _block_gates, _trig_features
-from qconv.pqc import build_circuit
+from qconv.pqc import build_circuit, ladder_permutation, parity_signs
 
 import oracles
 
@@ -95,27 +96,58 @@ def test_encode_matches_kronecker_oracle():
 
 
 # ---------------------------------------------------------------------------
+# gates: each block is the Ry layer, then the CNOT ladder
+
+@pytest.mark.parametrize("angle, want, atol", [
+    pytest.param(np.pi / 2, [0.0, 1.0], 1e-15, id="half_pi_flips_zero_to_one"),
+    pytest.param(np.pi / 4, [np.sqrt(0.5), np.sqrt(0.5)], 1e-12, id="quarter_pi_equal_superposition"),
+])
+def test_ry_on_the_zero_state(angle, want, atol):
+    np.testing.assert_allclose(circuit_matrix(build_circuit(1, 1), [angle])[:, 0], want, atol=atol)
+
+
+@pytest.mark.parametrize("amps, want", [
+    # |10> has index 2 under qubit-0-is-MSB
+    pytest.param([0, 0, 1, 0], [0, 0, 0, 1], id="flips_target_when_control_set"),
+    pytest.param([1, 0, 0, 0], [1, 0, 0, 0], id="leaves_zero_control_alone"),
+    pytest.param([1, 0, 1, 0], [1, 0, 0, 1], id="entangles_superposed_control"),
+])
+def test_cnot_on_two_qubit_states(amps, want):
+    np.testing.assert_array_equal(np.asarray(amps)[ladder_permutation(build_circuit(2, 1))], want)
+
+
+def test_zero_angles_leave_only_the_cnot_ladders():
+    for n in (2, 3, 4, 5, 6):
+        ladder = np.eye(2**n)
+        for i in range(n - 1):
+            ladder = oracles.cnot_matrix(i, i + 1, n).real @ ladder
+        spec = build_circuit(n, 2)
+        for gate in _block_gates(spec, np.zeros((1, spec.param_count))):
+            np.testing.assert_array_equal(gate[0], ladder)
+
+
+def test_block_gates_treat_each_filter_row_independently():
+    rng = np.random.default_rng(19)
+    spec = build_circuit(3, 2)
+    angles = rng.uniform(0, 2 * np.pi, (6, spec.param_count))
+    got = _block_gates(spec, angles)
+    for row in range(6):
+        np.testing.assert_allclose(got[:, row], _block_gates(spec, angles[row : row + 1])[:, 0],
+                                   atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # evolution: the product of the layer's block gates
 
-def test_depth_zero_run_is_identity():
+def test_depth_zero_feature_is_parity_of_encoded_state():
     spec = build_circuit(4, 0)
-    np.testing.assert_array_equal(circuit_matrix(spec, []), np.eye(16))
     rng = np.random.default_rng(29)
     for window in rng.uniform(0, 2 * np.pi, (5, 4)):
         want = oracles.parity_expectation(oracles.encode_state(window))
         assert on_one_window(spec, [], window)[0] == pytest.approx(want, abs=1e-12)
 
 
-def test_zero_angles_leave_only_the_cnot_ladders():
-    spec = build_circuit(4, 2)
-    ladder = np.eye(16)
-    for control, target in spec.cnot_pairs:
-        ladder = oracles.cnot_matrix(control, target, 4) @ ladder
-    for gate in _block_gates(spec, np.zeros((1, 8))):
-        np.testing.assert_array_equal(gate[0], ladder.real)
-
-
-def test_run_circuit_matches_dense_unitary_oracle():
+def test_circuit_matches_dense_unitary_oracle():
     rng = np.random.default_rng(37)
     for _ in range(20):
         n = int(rng.integers(1, 5))
@@ -127,6 +159,26 @@ def test_run_circuit_matches_dense_unitary_oracle():
         got = circuit_matrix(spec, params) @ amps
         want = oracles.circuit_unitary(spec, params) @ amps
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_circuit_preserves_norm_over_100_blocks():
+    rng = np.random.default_rng(17)
+    for n in (2, 4, 6):
+        spec = build_circuit(n, 100)
+        state = circuit_matrix(spec, rng.uniform(0, 2 * np.pi, spec.param_count))[:, 0]
+        assert abs(state @ state - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# measurement: the Z-parity signs weighted by |amplitude|^2
+
+@pytest.mark.parametrize("probabilities, want", [
+    pytest.param(np.eye(16)[0], 1.0, id="all_zeros_is_plus_one"),
+    pytest.param(np.eye(16)[1], -1.0, id="odd_parity_is_minus_one"),  # |0001> = index 1
+    pytest.param(np.full(16, 1 / 16), 0.0, id="uniform_superposition_is_zero"),
+])
+def test_parity_expectation_on_four_qubits(probabilities, want):
+    assert parity_signs(4) @ probabilities == want
 
 
 # ---------------------------------------------------------------------------

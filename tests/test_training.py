@@ -249,10 +249,10 @@ def test_default_seed_list():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(eval_every=0).validate()
+        TrainConfig(eval_every=0)
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=-1).validate()
+        TrainConfig(batch_size=-1)
     with pytest.raises(ValueError):
-        TrainConfig(seeds=()).validate()
+        TrainConfig(seeds=())
