@@ -39,6 +39,7 @@ from .training import (
     evaluate,
     init_adam,
     run_experiment,
+    run_experiments,
     train,
 )
 
@@ -52,6 +53,6 @@ __all__ = [
     "generate_dataset", "split", "filter_labels", "save_dataset", "load_dataset",
     "AdamState", "init_adam", "adam_step", "TrainConfig", "MetricsRecord",
     "TrainingDivergedError", "evaluate", "train", "build_network",
-    "run_experiment", "ExperimentResult",
+    "run_experiment", "run_experiments", "ExperimentResult",
     "__version__",
 ]

@@ -41,6 +41,7 @@ from .training import (
     TrainConfig,
     TrainingDivergedError,
     run_experiment,
+    run_experiments,
 )
 
 GRADCHECK_TOLERANCE = 1e-6
@@ -308,16 +309,13 @@ def cmd_repro(args: argparse.Namespace) -> int:
               f"(default is {list(DEFAULT_SEEDS)})")
 
     started = time.perf_counter()
-    results: dict[tuple[str, str, int], ExperimentResult] = {}
-    for labels in label_counts:
-        for model in MODELS:
-            for architecture in ARCHITECTURES:
-                print(f"running {model} {architecture} {labels}-label "
-                      f"({len(config.seeds)} seeds, {config.iterations} iterations)...")
-                results[(model, architecture, labels)] = run_experiment(
-                    architecture, model, labels, config.train_config(),
-                    n_images=config.images,
-                )
+    combinations = [(m, a, l) for l in label_counts for m in MODELS for a in ARCHITECTURES]
+
+    def progress(index: int, seed: int) -> None:
+        print(f"seed {seed} ({index + 1}/{len(config.seeds)}): {len(combinations)} "
+              f"combinations, {config.iterations} iterations...")
+
+    results = run_experiments(combinations, config.train_config(), config.images, progress)
 
     written = []
     for panel in panels:

@@ -110,20 +110,28 @@ _CONFIGURATIONS = {name: enumerate_configurations(name) for name in CLASS_NAMES}
 
 
 def generate_dataset(n: int, seed: int) -> Dataset:
-    """Draw n samples: uniform class, uniform configuration, random pixels."""
+    """Draw n samples: uniform class, uniform configuration, random pixels.
+
+    Each sample takes three draws in order (class, configuration, 9
+    uniforms).  The images are read-only views of one array, because
+    every combination trained on a seed shares them."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     fg_lo, fg_hi = FOREGROUND_RANGE
     bg_lo, bg_hi = BACKGROUND_RANGE
-    samples = []
-    for _ in range(n):
-        label = int(rng.integers(len(CLASS_NAMES)))
-        configs = _CONFIGURATIONS[CLASS_NAMES[label]]
-        mask = configs[int(rng.integers(len(configs)))].ravel()
-        u = rng.random(GRID * GRID)
-        pixels = np.where(mask == 1, fg_lo + (fg_hi - fg_lo) * u, bg_lo + (bg_hi - bg_lo) * u)
-        samples.append(Sample(pixels.reshape(GRID, GRID, 1), label))
+    labels = np.empty(n, dtype=np.int64)
+    masks = np.empty((n, GRID * GRID), dtype=np.uint8)
+    u = np.empty((n, GRID * GRID))
+    for i in range(n):
+        labels[i] = rng.integers(len(CLASS_NAMES))
+        configs = _CONFIGURATIONS[CLASS_NAMES[labels[i]]]
+        masks[i] = configs[int(rng.integers(len(configs)))].ravel()
+        rng.random(out=u[i])
+    pixels = np.where(masks == 1, fg_lo + (fg_hi - fg_lo) * u, bg_lo + (bg_hi - bg_lo) * u)
+    images = pixels.reshape(n, GRID, GRID, 1)
+    images.flags.writeable = False
+    samples = [Sample(image, label) for image, label in zip(images, labels.tolist())]
     return Dataset(samples, CLASS_NAMES, "full", seed)
 
 

@@ -3,7 +3,8 @@
 An experiment seed drives dataset generation, the 80/20 split, and
 parameter initialisation through three child seeds derived with
 numpy's SeedSequence, so repeating a seed list reproduces every number
-exactly.  Seeds run one after another, in the order given.
+exactly.  Seeds run one after another, in the order given; every
+combination trained on a seed shares that seed's data.
 """
 
 from __future__ import annotations
@@ -217,27 +218,56 @@ def _mean_records(per_seed: list[list[MetricsRecord]]) -> list[MetricsRecord]:
     return out
 
 
+def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
+                    on_seed=None) -> dict[tuple[str, str, int], ExperimentResult]:
+    """Train each (model, architecture, labels) combination over all seeds.
+
+    Seeds run one after another.  Each seed's dataset, split and 2-label
+    filter are built once and shared by every combination it trains, and
+    are released before the next seed's are built.  ``on_seed(index,
+    seed)``, if given, is called before each seed trains.
+    """
+    combinations = tuple(dict.fromkeys(combinations))
+    for model, architecture, labels in combinations:
+        if model not in MODELS or architecture not in ARCHITECTURES:
+            raise ValueError(
+                f"invalid combination: model {model!r}, architecture {architecture!r}"
+            )
+        if labels not in LABEL_CHOICES:
+            raise ValueError(f"labels must be one of {LABEL_CHOICES}, got {labels}")
+
+    def run_seed(seed: int) -> list[list[MetricsRecord]]:
+        ds_seed, split_seed, init_seed = seed_children(seed)
+        train_set, test_set = split(generate_dataset(n_images, ds_seed), 0.8, split_seed)
+        sets = {5: (train_set, test_set)}
+        if any(labels == 2 for _, _, labels in combinations):
+            sets[2] = (filter_labels(train_set, TWO_LABEL_CLASSES),
+                       filter_labels(test_set, TWO_LABEL_CLASSES))
+        runs = []
+        for model, architecture, labels in combinations:
+            net = build_network(model, architecture, labels, init_seed)
+            try:
+                runs.append(train(net, *sets[labels], config))
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(
+                    f"{model} {architecture} {labels}-label, seed {seed}: {exc}"
+                ) from exc
+        return runs
+
+    per_seed: dict[tuple[str, str, int], list] = {c: [] for c in combinations}
+    for index, seed in enumerate(config.seeds):
+        if on_seed is not None:
+            on_seed(index, seed)
+        for combination, records in zip(combinations, run_seed(seed)):
+            per_seed[combination].append(records)
+    return {
+        combination: ExperimentResult(*combination, tuple(config.seeds), runs, _mean_records(runs))
+        for combination, runs in per_seed.items()
+    }
+
+
 def run_experiment(architecture: str, model: str, labels: int, config: TrainConfig,
                    n_images: int = 1000) -> ExperimentResult:
     """Train one (architecture, model, labels) combination over all seeds."""
-    if model not in MODELS or architecture not in ARCHITECTURES:
-        raise ValueError(
-            f"invalid combination: model {model!r}, architecture {architecture!r}"
-        )
-    if labels not in LABEL_CHOICES:
-        raise ValueError(f"labels must be one of {LABEL_CHOICES}, got {labels}")
-
-    def run_seed(seed: int) -> list[MetricsRecord]:
-        ds_seed, split_seed, init_seed = seed_children(seed)
-        dataset = generate_dataset(n_images, ds_seed)
-        train_set, test_set = split(dataset, 0.8, split_seed)
-        if labels == 2:
-            train_set = filter_labels(train_set, TWO_LABEL_CLASSES)
-            test_set = filter_labels(test_set, TWO_LABEL_CLASSES)
-        net = build_network(model, architecture, labels, init_seed)
-        return train(net, train_set, test_set, config)
-
-    per_seed = [run_seed(s) for s in config.seeds]
-    return ExperimentResult(
-        model, architecture, labels, tuple(config.seeds), per_seed, _mean_records(per_seed)
-    )
+    combination = (model, architecture, labels)
+    return run_experiments([combination], config, n_images)[combination]

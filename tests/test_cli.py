@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qconv import layers
+from qconv import layers, training
 from qconv.cli import (
     ExperimentConfig,
     build_parser,
@@ -292,7 +292,33 @@ def test_repro_all_panels_and_summary(tmp_path, capsys):
         "one-layer_2label", "two-layer_2label", "one-layer_5label", "two-layer_5label",
     }
     assert "loss_ordering_reproduced" in summary
-    assert "reduced/custom seed set" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "reduced/custom seed set" in printed
+    assert "seed 0 (1/2): 8 combinations, 4 iterations..." in printed
+    assert "seed 1 (2/2): 8 combinations, 4 iterations..." in printed
+
+
+def test_repro_builds_each_seeds_data_once(tmp_path, monkeypatch):
+    calls = {"generate_dataset": 0, "split": 0, "filter_labels": 0}
+    for name in calls:
+        original = getattr(training, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+    assert main(["repro", "--out-dir", str(tmp_path), *REPRO_FLAGS]) == 0
+    # one dataset and split per seed, and one train and one test filter
+    assert calls == {"generate_dataset": 2, "split": 2, "filter_labels": 4}
+
+
+def test_repro_divergence_names_the_run(tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        assert main(["repro", "--lr", "1e150", "--out-dir", str(tmp_path), *REPRO_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err
+    assert "qccnn one-layer 2-label" in err and "seed 0" in err
 
 
 def test_repro_identical_configs_are_byte_identical(tmp_path):

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from qconv.layers import Dense, Network
-from qconv.tetris import Dataset, Sample
+from qconv.tetris import Dataset, Sample, filter_labels, generate_dataset, split
 from qconv.training import (
+    ARCHITECTURES,
     DEFAULT_SEEDS,
+    LABEL_CHOICES,
+    MODELS,
+    TWO_LABEL_CLASSES,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
@@ -14,6 +18,7 @@ from qconv.training import (
     evaluate,
     init_adam,
     run_experiment,
+    run_experiments,
     seed_children,
     train,
 )
@@ -234,6 +239,37 @@ def test_run_experiment_deterministic():
     second = run_experiment("one-layer", "cnn", 2, config, n_images=30)
     assert first.per_seed == second.per_seed
     assert first.mean == second.mean
+
+
+def test_seed_outer_experiments_equal_each_combination_alone():
+    # each combination trained by hand on data built for it alone: a
+    # combination that disturbed a seed's shared sets would change the
+    # records of the combinations trained after it
+    config = TrainConfig(iterations=4, eval_every=2, seeds=(0, 1))
+    combinations = [(m, a, l) for l in LABEL_CHOICES for m in MODELS for a in ARCHITECTURES]
+    results = run_experiments(combinations, config, n_images=30)
+    assert list(results) == combinations
+    for model, architecture, labels in combinations:
+        want = []
+        for seed in config.seeds:
+            ds_seed, split_seed, init_seed = seed_children(seed)
+            train_set, test_set = split(generate_dataset(30, ds_seed), 0.8, split_seed)
+            if labels == 2:
+                train_set = filter_labels(train_set, TWO_LABEL_CLASSES)
+                test_set = filter_labels(test_set, TWO_LABEL_CLASSES)
+            net = build_network(model, architecture, labels, init_seed)
+            want.append(train(net, train_set, test_set, config))
+        result = results[(model, architecture, labels)]
+        assert (result.model, result.architecture, result.labels) == (model, architecture, labels)
+        assert result.seeds == config.seeds
+        assert result.per_seed == want
+
+
+def test_run_experiments_checks_every_combination_before_training(monkeypatch):
+    monkeypatch.setattr("qconv.training.train", lambda *args: pytest.fail("trained"))
+    config = TrainConfig(iterations=1, seeds=(0,))
+    with pytest.raises(ValueError, match="labels must be one of"):
+        run_experiments([("cnn", "one-layer", 2), ("cnn", "one-layer", 3)], config)
 
 
 def test_seed_children_are_stable():
