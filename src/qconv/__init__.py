@@ -20,7 +20,6 @@ from .layers import (
 from .tetris import (
     CLASS_NAMES,
     Dataset,
-    Sample,
     enumerate_configurations,
     filter_labels,
     generate_dataset,
@@ -38,7 +37,6 @@ from .training import (
     build_network,
     evaluate,
     init_adam,
-    run_experiment,
     run_experiments,
     train,
 )
@@ -49,10 +47,10 @@ __all__ = [
     "CircuitSpec", "build_circuit",
     "WindowSpec", "output_shape",
     "QuantumConv", "ClassicalConv", "MaxPool", "Dense", "Network",
-    "CLASS_NAMES", "Sample", "Dataset", "enumerate_configurations",
+    "CLASS_NAMES", "Dataset", "enumerate_configurations",
     "generate_dataset", "split", "filter_labels", "save_dataset", "load_dataset",
     "AdamState", "init_adam", "adam_step", "TrainConfig", "MetricsRecord",
     "TrainingDivergedError", "evaluate", "train", "build_network",
-    "run_experiment", "run_experiments", "ExperimentResult",
+    "run_experiments", "ExperimentResult",
     "__version__",
 ]

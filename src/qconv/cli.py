@@ -40,7 +40,6 @@ from .training import (
     ExperimentResult,
     TrainConfig,
     TrainingDivergedError,
-    run_experiment,
     run_experiments,
 )
 
@@ -202,10 +201,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = run_experiment(
-        config.architecture, config.model, config.labels,
-        config.train_config(), n_images=config.images,
-    )
+    combination = (config.model, config.architecture, config.labels)
+    result = run_experiments([combination], config.train_config(), config.images)[combination]
     wall = time.perf_counter() - started
     stem = f"{config.model}_{config.architecture}_{config.labels}label"
     csv_path = out_dir / f"metrics_{stem}.csv"

@@ -10,10 +10,11 @@ translation that fits, deduplicated):
 * T is the T tetromino                   -> 8
 * I is the straight 3-cell line          -> 6
 
-Images are (3, 3, 1) float tensors: foreground pixels are drawn
-uniformly from [0.7, 1), background from [0, 0.1).  All randomness
-comes from numpy's default generator (PCG64), so any integer seed
-reproduces a dataset bit for bit.
+A dataset is two read-only arrays: (n, 3, 3, 1) float images, whose
+foreground pixels are drawn uniformly from [0.7, 1) and background
+from [0, 0.1), and n int64 labels.  All randomness comes from numpy's
+default generator (PCG64), so any integer seed reproduces a dataset
+bit for bit.
 
 Datasets serialize to JSON lines: a header record
 ``{"class_names": [...], "seed": ..., "split": ...}`` followed by one
@@ -54,21 +55,25 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed or fails validation."""
 
 
-@dataclass
-class Sample:
-    image: np.ndarray  # (3, 3, 1), values in [0, 1]
-    label: int
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    samples: list[Sample]
+    """Images and labels, row for row.  Both arrays are made read-only,
+    because every combination trained on a seed shares them."""
+
+    images: np.ndarray  # (n, 3, 3, 1) float64, values in [0, 1]
+    labels: np.ndarray  # (n,) int64, indices into class_names
     class_names: tuple[str, ...]
     split_tag: str = "full"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.labels.ndim != 1 or self.images.shape != (self.labels.size, GRID, GRID, 1):
+            raise ValueError(f"images {self.images.shape} do not match labels {self.labels.shape}")
+        self.images.flags.writeable = False
+        self.labels.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.labels.size
 
 
 def _normalize(cells):
@@ -113,8 +118,7 @@ def generate_dataset(n: int, seed: int) -> Dataset:
     """Draw n samples: uniform class, uniform configuration, random pixels.
 
     Each sample takes three draws in order (class, configuration, 9
-    uniforms).  The images are read-only views of one array, because
-    every combination trained on a seed shares them."""
+    uniforms)."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -129,10 +133,7 @@ def generate_dataset(n: int, seed: int) -> Dataset:
         masks[i] = configs[int(rng.integers(len(configs)))].ravel()
         rng.random(out=u[i])
     pixels = np.where(masks == 1, fg_lo + (fg_hi - fg_lo) * u, bg_lo + (bg_hi - bg_lo) * u)
-    images = pixels.reshape(n, GRID, GRID, 1)
-    images.flags.writeable = False
-    samples = [Sample(image, label) for image, label in zip(images, labels.tolist())]
-    return Dataset(samples, CLASS_NAMES, "full", seed)
+    return Dataset(pixels.reshape(n, GRID, GRID, 1), labels, CLASS_NAMES, "full", seed)
 
 
 def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -144,11 +145,9 @@ def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0) -> tuple
     if n_train < 1 or n_train >= n:
         raise ValueError(f"split of {n} samples at {train_fraction} leaves an empty side")
     order = np.random.default_rng(seed).permutation(n)
-    train = [dataset.samples[i] for i in order[:n_train]]
-    test = [dataset.samples[i] for i in order[n_train:]]
-    return (
-        Dataset(train, dataset.class_names, "train", dataset.seed),
-        Dataset(test, dataset.class_names, "test", dataset.seed),
+    return tuple(
+        Dataset(dataset.images[rows], dataset.labels[rows], dataset.class_names, tag, dataset.seed)
+        for rows, tag in ((order[:n_train], "train"), (order[n_train:], "test"))
     )
 
 
@@ -162,11 +161,11 @@ def filter_labels(dataset: Dataset, names) -> Dataset:
             raise ValueError(f"unknown class {name!r}, dataset has {dataset.class_names}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate class names in {names}")
-    relabel = {dataset.class_names.index(name): i for i, name in enumerate(names)}
-    kept = [
-        Sample(s.image, relabel[s.label]) for s in dataset.samples if s.label in relabel
-    ]
-    return Dataset(kept, names, dataset.split_tag, dataset.seed)
+    relabel = np.full(len(dataset.class_names), -1, dtype=np.int64)
+    relabel[[dataset.class_names.index(name) for name in names]] = np.arange(len(names))
+    labels = relabel[dataset.labels]
+    kept = labels >= 0
+    return Dataset(dataset.images[kept], labels[kept], names, dataset.split_tag, dataset.seed)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -178,9 +177,9 @@ def save_dataset(dataset: Dataset, path) -> None:
             "split": dataset.split_tag,
         }
         fh.write(json.dumps(header) + "\n")
-        for s in dataset.samples:
-            record = {"label": s.label, "pixels": [float(p) for p in s.image.ravel()]}
-            fh.write(json.dumps(record) + "\n")
+        pixels = dataset.images.reshape(len(dataset), GRID * GRID).tolist()
+        for label, row in zip(dataset.labels.tolist(), pixels):
+            fh.write(json.dumps({"label": label, "pixels": row}) + "\n")
 
 
 def _pixel_in_range(p: float) -> bool:
@@ -211,7 +210,7 @@ def load_dataset(path) -> Dataset:
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names) or not names:
         raise DatasetFormatError(f"{path}: line 1: header needs a class_names list")
     class_names = tuple(names)
-    samples = []
+    labels, images = [], []
     for line_no, text in enumerate(lines[1:], start=2):
         if not text.strip():
             raise DatasetFormatError(f"{path}: line {line_no}: blank line in dataset body")
@@ -230,5 +229,8 @@ def load_dataset(path) -> Dataset:
                     f"{list(BACKGROUND_RANGE)} / {list(FOREGROUND_RANGE)}"
                 )
             values.append(float(p))
-        samples.append(Sample(np.array(values).reshape(GRID, GRID, 1), label))
-    return Dataset(samples, class_names, header.get("split", "full"), header.get("seed", 0))
+        labels.append(label)
+        images.append(values)
+    images = np.array(images, dtype=np.float64).reshape(-1, GRID, GRID, 1)
+    return Dataset(images, np.array(labels, dtype=np.int64), class_names,
+                   header.get("split", "full"), header.get("seed", 0))

@@ -105,24 +105,18 @@ class ExperimentResult:
     mean: list[MetricsRecord]
 
 
-def _stack(dataset: Dataset, n_classes: int):
-    images = np.stack([s.image for s in dataset.samples]).astype(np.float64)
-    labels = np.array([s.label for s in dataset.samples], dtype=np.int64)
-    if labels.size and labels.max() >= n_classes:
-        raise ValueError(f"dataset label {labels.max()} out of range for {n_classes} classes")
-    onehot = np.zeros((labels.size, n_classes))
-    onehot[np.arange(labels.size), labels] = 1.0
-    return images, labels, onehot
+def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise ValueError(f"dataset labels {labels.min()}..{labels.max()} out of range "
+                         f"for {n_classes} classes")
+    return np.eye(n_classes)[labels]
 
 
-def evaluate(net: Network, dataset: Dataset):
-    """(accuracy, mean loss) over a dataset; argmax ties go to the lowest index."""
-    if not dataset.samples:
+def evaluate(net: Network, inputs, labels: np.ndarray, onehot: np.ndarray):
+    """(accuracy, mean loss) over a batch, raw or from `net.encode`; argmax
+    ties go to the lowest index."""
+    if not labels.size:
         raise ValueError("cannot evaluate on an empty dataset")
-    return _evaluate(net, *_stack(dataset, net.n_classes))
-
-
-def _evaluate(net: Network, inputs, labels: np.ndarray, onehot: np.ndarray):
     pred, _ = net.forward_batch(inputs)
     correct = int(np.sum(pred.argmax(axis=1) == labels))
     return correct / labels.size, float(np.mean((pred - onehot) ** 2))
@@ -132,37 +126,39 @@ def train(net: Network, train_set: Dataset, test_set: Dataset,
           config: TrainConfig) -> list[MetricsRecord]:
     """Run the iteration loop; metrics are recorded after the update at every
     multiple of ``eval_every`` and at the final iteration.  Both sets are
-    stacked and encoded through the first layer once; mini-batches index
-    the encoded training set."""
-    if not train_set.samples:
+    encoded through the first layer once; mini-batches index the encoded
+    training set.  Overflow inside a diverging run is not warned about:
+    the non-finite loss it leads to raises `TrainingDivergedError`."""
+    if not len(train_set):
         raise ValueError("cannot train on an empty training set")
-    if not test_set.samples:
+    if not len(test_set):
         raise ValueError("cannot evaluate on an empty test set")
-    images, train_labels, targets = _stack(train_set, net.n_classes)
-    test_images, test_labels, test_onehot = _stack(test_set, net.n_classes)
-    inputs, test_inputs = net.encode(images), net.encode(test_images)
-    n = images.shape[0]
+    targets = _onehot(train_set.labels, net.n_classes)
+    test_onehot = _onehot(test_set.labels, net.n_classes)
+    inputs, test_inputs = net.encode(train_set.images), net.encode(test_set.images)
+    n = len(train_set)
     params = net.get_flat_params()
     state = init_adam(params.size, config.learning_rate)
     records: list[MetricsRecord] = []
-    for it in range(1, config.iterations + 1):
-        if config.batch_size and config.batch_size < n:
-            start = ((it - 1) * config.batch_size) % n
-            idx = np.arange(start, start + config.batch_size) % n
-            xb, tb = inputs[idx], targets[idx]
-        else:
-            xb, tb = inputs, targets
-        loss, grads, _ = net.loss_and_gradients(xb, tb)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite training loss at iteration {it}")
-        params, state = adam_step(params, grads, state)
-        net.set_flat_params(params)
-        if it % config.eval_every == 0 or it == config.iterations:
-            train_loss = _evaluate(net, inputs, train_labels, targets)[1]
-            test_accuracy, test_loss = _evaluate(net, test_inputs, test_labels, test_onehot)
-            if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-                raise TrainingDivergedError(f"non-finite evaluation loss at iteration {it}")
-            records.append(MetricsRecord(it, train_loss, test_loss, test_accuracy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, config.iterations + 1):
+            if config.batch_size and config.batch_size < n:
+                start = ((it - 1) * config.batch_size) % n
+                idx = np.arange(start, start + config.batch_size) % n
+                xb, tb = inputs[idx], targets[idx]
+            else:
+                xb, tb = inputs, targets
+            loss, grads, _ = net.loss_and_gradients(xb, tb)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite training loss at iteration {it}")
+            params, state = adam_step(params, grads, state)
+            net.set_flat_params(params)
+            if it % config.eval_every == 0 or it == config.iterations:
+                train_loss = evaluate(net, inputs, train_set.labels, targets)[1]
+                test_accuracy, test_loss = evaluate(net, test_inputs, test_set.labels, test_onehot)
+                if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
+                    raise TrainingDivergedError(f"non-finite evaluation loss at iteration {it}")
+                records.append(MetricsRecord(it, train_loss, test_loss, test_accuracy))
     return records
 
 
@@ -264,10 +260,3 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
         combination: ExperimentResult(*combination, tuple(config.seeds), runs, _mean_records(runs))
         for combination, runs in per_seed.items()
     }
-
-
-def run_experiment(architecture: str, model: str, labels: int, config: TrainConfig,
-                   n_images: int = 1000) -> ExperimentResult:
-    """Train one (architecture, model, labels) combination over all seeds."""
-    combination = (model, architecture, labels)
-    return run_experiments([combination], config, n_images)[combination]

@@ -7,6 +7,8 @@ differences or explicit quarter-turn shifts.  None of it shares code
 with the library paths it verifies.
 """
 
+import math
+
 import numpy as np
 
 from qconv.pqc import CircuitSpec
@@ -184,3 +186,24 @@ def naive_max_pool_grad(image: np.ndarray, window, upstream: np.ndarray) -> np.n
                 a, b = _first_max(padded[i * s : i * s + m, j * s : j * s + n, c])
                 grad[i * s + a, j * s + b, c] += upstream[i, j, c]
     return grad[p : p + v, p : p + h]
+
+
+def split_rows(n: int, train_fraction: float, seed: int) -> tuple[list, list]:
+    """Source rows of the two sides of a seeded split, in permutation order:
+    the first floor(fraction * n) rows of the permutation train, the rest test."""
+    order = [int(i) for i in np.random.default_rng(seed).permutation(n)]
+    n_train = math.floor(train_fraction * n)
+    return order[:n_train], order[n_train:]
+
+
+def filter_rows(rows, labels, class_names, names) -> tuple[list, list]:
+    """(kept rows, new labels) of a label filter, one row at a time: rows of
+    the named classes stay in the order given, relabelled by their class's
+    position in ``names``."""
+    kept, relabelled = [], []
+    for row in rows:
+        name = class_names[labels[row]]
+        if name in names:
+            kept.append(row)
+            relabelled.append(names.index(name))
+    return kept, relabelled

@@ -17,7 +17,7 @@ from qconv.cli import main
 from qconv.layers import Dense, MaxPool, Network, QuantumConv, WindowSpec, _block_gates
 from qconv.pqc import build_circuit
 from qconv.tetris import enumerate_configurations, generate_dataset
-from qconv.training import TrainConfig, build_network, run_experiment
+from qconv.training import TrainConfig, build_network, run_experiments
 
 import oracles
 
@@ -31,7 +31,7 @@ _RUNS: dict = {}
 def full_run(model: str, architecture: str, labels: int):
     key = (model, architecture, labels)
     if key not in _RUNS:
-        _RUNS[key] = run_experiment(architecture, model, labels, FULL_SETTINGS)
+        _RUNS[key] = run_experiments([key], FULL_SETTINGS)[key]
     return _RUNS[key]
 
 
@@ -95,7 +95,7 @@ def test_criterion_2_circuit_oracle_equivalence():
 def test_criterion_3_dataset_fidelity():
     counts = tuple(len(enumerate_configurations(name)) for name in ("S", "L", "O", "T", "I"))
     dataset = generate_dataset(1000, seed=0)
-    pixels = np.concatenate([s.image.ravel() for s in dataset.samples])
+    pixels = dataset.images.ravel()
     in_range = np.all(((0.0 <= pixels) & (pixels <= 0.1)) | ((0.7 <= pixels) & (pixels <= 1.0)))
     report(
         3,
@@ -172,9 +172,9 @@ def test_criterion_8_end_to_end_backprop():
         n_classes=2,
     )
     data = generate_dataset(8, seed=88)
-    x = np.stack([s.image for s in data.samples])
+    x = data.images
     targets = np.zeros((8, 2))
-    targets[np.arange(8), [s.label % 2 for s in data.samples]] = 1.0
+    targets[np.arange(8), data.labels % 2] = 1.0
     _, grads, _ = net.loss_and_gradients(x, targets)
     flat = net.get_flat_params()
 

@@ -1,12 +1,16 @@
 """Brick geometry, dataset generation, splitting, filtering, serialization."""
 
 import hashlib
+import math
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 from qconv.tetris import (
     CLASS_NAMES,
+    Dataset,
     DatasetFormatError,
     enumerate_configurations,
     filter_labels,
@@ -15,6 +19,8 @@ from qconv.tetris import (
     save_dataset,
     split,
 )
+
+import oracles
 
 EXPECTED_COUNTS = {"S": 8, "L": 16, "O": 4, "T": 8, "I": 6}
 
@@ -77,23 +83,22 @@ def test_enumeration_order_deterministic():
 def test_generated_pixels_respect_both_ranges():
     dataset = generate_dataset(1000, seed=0)
     assert len(dataset) == 1000
-    for sample in dataset.samples:
-        pixels = sample.image.ravel()
-        assert sample.image.shape == (3, 3, 1)
-        assert 0 <= sample.label < 5
+    assert dataset.images.shape == (1000, 3, 3, 1) and dataset.labels.dtype == np.int64
+    for image, label in zip(dataset.images, dataset.labels):
+        pixels = image.ravel()
+        assert 0 <= label < 5
         assert np.all(((0.0 <= pixels) & (pixels <= 0.1)) | ((0.7 <= pixels) & (pixels <= 1.0)))
         # foreground count matches some configuration of the labelled class
         fg = int((pixels >= 0.7).sum())
-        sizes = {int(m.sum()) for m in enumerate_configurations(CLASS_NAMES[sample.label])}
+        sizes = {int(m.sum()) for m in enumerate_configurations(CLASS_NAMES[label])}
         assert fg in sizes
 
 
 def test_generation_is_reproducible():
     a = generate_dataset(50, seed=123)
     b = generate_dataset(50, seed=123)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.label == sb.label
-        np.testing.assert_array_equal(sa.image, sb.image)
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.images, b.images)
 
 
 @pytest.mark.parametrize("n, seed, digest", [
@@ -104,30 +109,37 @@ def test_generated_dataset_is_pinned(n, seed, digest):
     # sha256 of the stacked images and the int64 labels; any change to the
     # draws, their order or the pixel formula moves every result downstream
     dataset = generate_dataset(n, seed)
-    images = np.stack([s.image for s in dataset.samples])
-    labels = np.array([s.label for s in dataset.samples], dtype=np.int64)
-    assert hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(dataset.images.tobytes() + dataset.labels.tobytes()).hexdigest() == digest
 
 
-def test_generated_images_are_read_only():
-    # every combination trained on a seed shares these images
-    sample = generate_dataset(5, seed=0).samples[0]
-    with pytest.raises(ValueError):
-        sample.image[0, 0, 0] = 0.5
+@pytest.mark.parametrize("field", ["images", "labels"])
+@pytest.mark.parametrize("make", [
+    lambda: generate_dataset(20, seed=0),
+    lambda: split(generate_dataset(20, seed=0), 0.5, seed=0)[0],
+    lambda: split(generate_dataset(20, seed=0), 0.5, seed=0)[1],
+    lambda: filter_labels(generate_dataset(20, seed=0), ("T", "S")),
+], ids=["generate_dataset", "split-train", "split-test", "filter_labels"])
+def test_generated_images_are_read_only(make, field):
+    # every combination trained on a seed shares these arrays
+    array = getattr(make(), field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 0
+
+
+def test_dataset_rejects_arrays_of_different_lengths():
+    with pytest.raises(ValueError, match="do not match"):
+        Dataset(np.zeros((3, 3, 3, 1)), np.zeros(2, dtype=np.int64), CLASS_NAMES)
 
 
 def test_generation_seed_changes_data():
     a = generate_dataset(50, seed=1)
     b = generate_dataset(50, seed=2)
-    assert any(
-        sa.label != sb.label or not np.array_equal(sa.image, sb.image)
-        for sa, sb in zip(a.samples, b.samples)
-    )
+    assert not np.array_equal(a.labels, b.labels) or not np.array_equal(a.images, b.images)
 
 
 def test_label_frequencies_near_uniform():
     dataset = generate_dataset(5000, seed=7)
-    counts = np.bincount([s.label for s in dataset.samples], minlength=5)
+    counts = np.bincount(dataset.labels, minlength=5)
     np.testing.assert_allclose(counts / 5000.0, 0.2, atol=0.05)
 
 
@@ -144,9 +156,7 @@ def test_split_800_200():
     train, test = split(dataset, 0.8, seed=0)
     assert len(train) == 800 and len(test) == 200
     assert train.split_tag == "train" and test.split_tag == "test"
-    ids = {id(s) for s in dataset.samples}
-    assert {id(s) for s in train.samples} | {id(s) for s in test.samples} == ids
-    assert not ({id(s) for s in train.samples} & {id(s) for s in test.samples})
+    assert train.class_names == test.class_names == CLASS_NAMES
 
 
 def test_split_half_of_two():
@@ -159,8 +169,8 @@ def test_split_reproducible():
     dataset = generate_dataset(100, seed=5)
     a_train, a_test = split(dataset, 0.8, seed=9)
     b_train, b_test = split(dataset, 0.8, seed=9)
-    assert [s.label for s in a_train.samples] == [s.label for s in b_train.samples]
-    assert [s.label for s in a_test.samples] == [s.label for s in b_test.samples]
+    np.testing.assert_array_equal(a_train.images, b_train.images)
+    np.testing.assert_array_equal(a_test.labels, b_test.labels)
 
 
 def test_split_rejects_degenerate_sizes():
@@ -174,21 +184,43 @@ def test_split_rejects_degenerate_sizes():
 def test_filter_two_classes_relabels_densely():
     dataset = generate_dataset(1000, seed=8)
     picked = filter_labels(dataset, ("S", "T"))
-    want = sum(1 for s in dataset.samples if CLASS_NAMES[s.label] in ("S", "T"))
-    assert len(picked) == want
+    counts = np.bincount(dataset.labels, minlength=5)
     assert picked.class_names == ("S", "T")
-    assert set(s.label for s in picked.samples) <= {0, 1}
     # S keeps index 0, T becomes 1
-    original_s = [s for s in dataset.samples if CLASS_NAMES[s.label] == "S"]
-    filtered_s = [s for s in picked.samples if s.label == 0]
-    assert len(original_s) == len(filtered_s)
+    np.testing.assert_array_equal(np.bincount(picked.labels, minlength=2), counts[[0, 3]])
 
 
 def test_filter_all_names_is_identity():
     dataset = generate_dataset(40, seed=9)
     same = filter_labels(dataset, CLASS_NAMES)
     assert len(same) == 40
-    assert [s.label for s in same.samples] == [s.label for s in dataset.samples]
+    np.testing.assert_array_equal(same.labels, dataset.labels)
+    np.testing.assert_array_equal(same.images, dataset.images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    fraction=st.floats(0.01, 0.99),
+    data_seed=st.integers(0, 2**32 - 1),
+    split_seed=st.integers(0, 2**32 - 1),
+    names=st.lists(st.sampled_from(CLASS_NAMES), min_size=1, unique=True).map(tuple),
+)
+def test_split_then_filter_match_row_oracle(n, fraction, data_seed, split_seed, names):
+    assume(1 <= math.floor(fraction * n) < n)
+    dataset = generate_dataset(n, data_seed)
+    rows = oracles.split_rows(n, fraction, split_seed)
+    assert sorted(rows[0] + rows[1]) == list(range(n))  # disjoint and exhaustive
+    for side, side_rows, tag in zip(split(dataset, fraction, split_seed), rows, ("train", "test")):
+        picked = filter_labels(side, names)
+        kept, labels = oracles.filter_rows(side_rows, dataset.labels.tolist(), CLASS_NAMES, names)
+        assert (side.split_tag, picked.split_tag, picked.class_names) == (tag, tag, names)
+        assert len(side) == len(side_rows) and picked.labels.tolist() == labels
+        for got, row in zip(side.images, side_rows):
+            assert np.array_equal(got, dataset.images[row])
+        assert len(picked) == len(kept)
+        for got, row in zip(picked.images, kept):
+            assert np.array_equal(got, dataset.images[row])
 
 
 def test_filter_rejects_empty_and_unknown():
@@ -201,13 +233,11 @@ def test_filter_rejects_empty_and_unknown():
 
 def test_split_and_filter_do_not_mutate_source():
     dataset = generate_dataset(30, seed=11)
-    labels_before = [s.label for s in dataset.samples]
-    images_before = [s.image.copy() for s in dataset.samples]
+    labels_before, images_before = dataset.labels.copy(), dataset.images.copy()
     split(dataset, 0.5, seed=0)
     filter_labels(dataset, ("S", "T"))
-    assert [s.label for s in dataset.samples] == labels_before
-    for s, img in zip(dataset.samples, images_before):
-        np.testing.assert_array_equal(s.image, img)
+    np.testing.assert_array_equal(dataset.labels, labels_before)
+    np.testing.assert_array_equal(dataset.images, images_before)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +252,8 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.seed == dataset.seed
     assert loaded.split_tag == dataset.split_tag
     assert len(loaded) == len(dataset)
-    for a, b in zip(dataset.samples, loaded.samples):
-        assert a.label == b.label
-        np.testing.assert_array_equal(a.image, b.image)
+    np.testing.assert_array_equal(loaded.labels, dataset.labels)
+    np.testing.assert_array_equal(loaded.images, dataset.images)
 
 
 def test_load_truncated_record_reports_line(tmp_path):
@@ -278,4 +307,5 @@ def test_saved_filtered_dataset_round_trips(tmp_path):
     save_dataset(dataset, path)
     loaded = load_dataset(path)
     assert loaded.class_names == ("S", "T")
-    assert [s.label for s in loaded.samples] == [s.label for s in dataset.samples]
+    np.testing.assert_array_equal(loaded.labels, dataset.labels)
+    np.testing.assert_array_equal(loaded.images, dataset.images)

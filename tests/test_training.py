@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qconv.layers import Dense, Network
-from qconv.tetris import Dataset, Sample, filter_labels, generate_dataset, split
+from qconv.tetris import Dataset, filter_labels, generate_dataset, split
 from qconv.training import (
     ARCHITECTURES,
     DEFAULT_SEEDS,
@@ -17,7 +17,6 @@ from qconv.training import (
     build_network,
     evaluate,
     init_adam,
-    run_experiment,
     run_experiments,
     seed_children,
     train,
@@ -25,13 +24,17 @@ from qconv.training import (
 
 
 def toy_dataset(labels, n_classes=None, seed=0):
-    rng = np.random.default_rng(seed)
-    samples = []
-    for label in labels:
-        pixels = 0.1 * rng.random(9)
-        samples.append(Sample(pixels.reshape(3, 3, 1), int(label)))
+    images = 0.1 * np.random.default_rng(seed).random((len(labels), 3, 3, 1))
     names = ("S", "L", "O", "T", "I")[: (n_classes or max(labels) + 1)]
-    return Dataset(samples, names, "full", seed)
+    return Dataset(images, np.array(labels, dtype=np.int64), names, "full", seed)
+
+
+def empty_dataset(split_tag):
+    return Dataset(np.empty((0, 3, 3, 1)), np.empty(0, dtype=np.int64), ("S", "T"), split_tag, 0)
+
+
+def evaluate_on(net, dataset):
+    return evaluate(net, dataset.images, dataset.labels, np.eye(net.n_classes)[dataset.labels])
 
 
 def constant_net(outputs):
@@ -97,7 +100,7 @@ def test_adam_rejects_shape_mismatch():
 def test_evaluate_perfect_predictor():
     dataset = toy_dataset([0], n_classes=2)
     net = constant_net([1.0, 0.0])
-    accuracy, loss = evaluate(net, dataset)
+    accuracy, loss = evaluate_on(net, dataset)
     assert accuracy == 1.0
     assert loss == 0.0
 
@@ -105,20 +108,20 @@ def test_evaluate_perfect_predictor():
 def test_evaluate_constant_net_on_balanced_labels():
     dataset = toy_dataset([0, 1, 2, 3, 4] * 20, n_classes=5)
     net = constant_net([0.0, 0.0, 0.0, 0.0, 0.0])
-    accuracy, loss = evaluate(net, dataset)
+    accuracy, loss = evaluate_on(net, dataset)
     assert accuracy == pytest.approx(0.2)  # argmax ties resolve to class 0
     assert loss == pytest.approx(0.2, abs=1e-12)
 
 
 def test_evaluate_single_sample_accuracy_is_binary():
     net = constant_net([0.0, 1.0])
-    assert evaluate(net, toy_dataset([1], n_classes=2))[0] == 1.0
-    assert evaluate(net, toy_dataset([0], n_classes=2))[0] == 0.0
+    assert evaluate_on(net, toy_dataset([1], n_classes=2))[0] == 1.0
+    assert evaluate_on(net, toy_dataset([0], n_classes=2))[0] == 0.0
 
 
 def test_evaluate_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        evaluate(constant_net([0.0, 1.0]), Dataset([], ("S", "T"), "full", 0))
+        evaluate_on(constant_net([0.0, 1.0]), empty_dataset("full"))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def test_train_rejects_zero_iterations():
 def test_train_rejects_empty_training_set():
     net = build_network("cnn", "one-layer", 2, seed=0)
     data = toy_dataset([0, 1], n_classes=2)
-    empty = Dataset([], ("S", "T"), "train", 0)
+    empty = empty_dataset("train")
     with pytest.raises(ValueError, match="empty training set"):
         train(net, empty, data, TrainConfig(iterations=1, seeds=(0,)))
 
@@ -143,20 +146,26 @@ def test_train_rejects_empty_test_set_before_training():
     net = build_network("cnn", "one-layer", 2, seed=0)
     data = toy_dataset([0, 1], n_classes=2)
     before = net.get_flat_params()
-    empty = Dataset([], ("S", "T"), "test", 0)
+    empty = empty_dataset("test")
     with pytest.raises(ValueError, match="empty test set"):
         train(net, data, empty, TrainConfig(iterations=10, eval_every=10, seeds=(0,)))
     np.testing.assert_array_equal(net.get_flat_params(), before)
 
 
+def test_train_rejects_labels_outside_the_network():
+    net = build_network("cnn", "one-layer", 2, seed=0)
+    data = toy_dataset([0, 1], n_classes=2)
+    for labels in ([0, 4], [-1, 1]):
+        wide = Dataset(data.images, np.array(labels), ("S", "L", "O", "T", "I"), "train", 0)
+        with pytest.raises(ValueError, match="out of range for 2 classes"):
+            train(net, wide, data, TrainConfig(iterations=1, seeds=(0,)))
+
+
 def test_train_smoke_loss_decreases():
-    rng = np.random.default_rng(1)
-    samples = []
-    for label in [0, 1] * 5:
-        base = np.full(9, 0.05) if label == 0 else np.full(9, 0.9)
-        pixels = np.clip(base + 0.02 * rng.random(9), 0, 1)
-        samples.append(Sample(pixels.reshape(3, 3, 1), label))
-    data = Dataset(samples, ("S", "T"), "full", 1)
+    labels = np.array([0, 1] * 5)
+    base = np.where(labels == 0, 0.05, 0.9)[:, None, None, None]
+    images = np.clip(base + 0.02 * np.random.default_rng(1).random((10, 3, 3, 1)), 0, 1)
+    data = Dataset(images, labels, ("S", "T"), "full", 1)
     net = build_network("qccnn", "one-layer", 2, seed=2)
     records = train(net, data, data, TrainConfig(iterations=30, eval_every=5, seeds=(0,)))
     assert records[-1].train_loss < records[0].train_loss
@@ -175,7 +184,7 @@ def test_train_records_schedule_and_final_iteration():
 def test_train_divergence_guard_aborts():
     net = build_network("cnn", "one-layer", 2, seed=4)
     data = toy_dataset([0, 1, 0, 1], n_classes=2)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+    with pytest.raises(TrainingDivergedError):
         train(net, data, data, TrainConfig(iterations=50, learning_rate=1e150, seeds=(0,)))
 
 
@@ -195,7 +204,8 @@ def test_train_minibatch_mode_runs_deterministically():
 
 def test_run_experiment_output_shape_and_headers():
     config = TrainConfig(iterations=6, eval_every=2, seeds=(0, 1))
-    result = run_experiment("one-layer", "qccnn", 2, config, n_images=40)
+    combination = ("qccnn", "one-layer", 2)
+    result = run_experiments([combination], config, n_images=40)[combination]
     assert [r.iteration for r in result.mean] == [2, 4, 6]
     assert len(result.per_seed) == 2
     for i, mean in enumerate(result.mean):
@@ -203,7 +213,7 @@ def test_run_experiment_output_shape_and_headers():
         assert mean.test_accuracy == pytest.approx(want, abs=1e-15)
 
 
-def test_run_experiment_two_layer_uses_four_qubits_depth_four():
+def test_build_network_two_layer_uses_four_qubits_depth_four():
     net = build_network("qccnn", "two-layer", 5, seed=0)
     quantum = [layer for layer in net.layers if hasattr(layer, "circuit")]
     assert len(quantum) == 2
@@ -213,7 +223,7 @@ def test_run_experiment_two_layer_uses_four_qubits_depth_four():
         assert layer.angles.shape[1] == 16
 
 
-def test_run_experiment_classical_baseline_matches_shapes():
+def test_build_network_classical_baseline_matches_shapes():
     qccnn = build_network("qccnn", "one-layer", 5, seed=0)
     cnn = build_network("cnn", "one-layer", 5, seed=0)
     x = np.random.default_rng(1).random((3, 3, 3, 1))
@@ -225,20 +235,17 @@ def test_run_experiment_classical_baseline_matches_shapes():
 
 def test_run_experiment_rejects_bad_combinations():
     config = TrainConfig(iterations=1, seeds=(0,))
-    with pytest.raises(ValueError):
-        run_experiment("three-layer", "qccnn", 2, config)
-    with pytest.raises(ValueError):
-        run_experiment("one-layer", "qnn", 2, config)
-    with pytest.raises(ValueError):
-        run_experiment("one-layer", "qccnn", 3, config)
+    bad = (("qccnn", "three-layer", 2), ("qnn", "one-layer", 2), ("qccnn", "one-layer", 3))
+    for combination in bad:
+        with pytest.raises(ValueError):
+            run_experiments([combination], config)
 
 
 def test_run_experiment_deterministic():
     config = TrainConfig(iterations=4, eval_every=2, seeds=(0, 1, 2))
-    first = run_experiment("one-layer", "cnn", 2, config, n_images=30)
-    second = run_experiment("one-layer", "cnn", 2, config, n_images=30)
-    assert first.per_seed == second.per_seed
-    assert first.mean == second.mean
+    first, second = (run_experiments([("cnn", "one-layer", 2)], config, n_images=30)
+                     for _ in range(2))
+    assert first == second
 
 
 def test_seed_outer_experiments_equal_each_combination_alone():
