@@ -7,7 +7,6 @@ and benchmarked against a matched classical CNN on a procedural 3x3
 Tetris dataset.
 """
 
-from .pqc import CircuitSpec, build_circuit
 from .layers import (
     ClassicalConv,
     Dense,
@@ -44,7 +43,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircuitSpec", "build_circuit",
     "WindowSpec", "output_shape",
     "QuantumConv", "ClassicalConv", "MaxPool", "Dense", "Network",
     "CLASS_NAMES", "Dataset", "enumerate_configurations",

@@ -12,6 +12,24 @@ apply every filter to every input channel independently; input channel
 c under filter f lands on output channel ``c * filters + f`` (a reshape
 of the (..., channels, filters) products), giving ``d * k`` channels.
 
+`QuantumConv`'s circuit has one qubit per window value, row-major, and
+depth D is D blocks of
+
+    [Ry layer: one trainable full-angle rotation per qubit]
+    [CNOT ladder: control i -> target i+1 for i = 0..n-2, ascending]
+
+so a filter has ``n * D`` angles, ordered ``(block, qubit)``:
+``angles[block * n + qubit]``.  Ry takes the full angle, with matrix
+``[[cos t, -sin t], [sin t, cos t]]``.  Qubit 0 is the most significant
+bit of a basis-state index: |b0 b1 ... b(n-1)> has index
+``sum(b_q << (n - 1 - q))``.  Window values enter as the single-qubit
+states ``cos(t)|0> + sin(t)|1>``, and the feature read out is the
+all-qubit Z-parity expectation, so every feature lies in [-1, 1].
+Pulled back through the last ladder, that parity is a Z-string acting
+as identity on floor(n/2) qubits, so their last-block angles never
+change the output (the light-cone argument of Bermejo et al. 2024,
+arXiv:2408.12739).
+
 `QuantumConv` does not simulate a circuit per window.  With the
 product-state encoding, each filter's output is exactly a trigonometric
 polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
@@ -31,8 +49,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .pqc import CircuitSpec, build_circuit, ladder_permutation, parity_signs
 
 # Largest window QuantumConv accepts: its features have 3**n entries per window
 # and its {I, Z, X}^n basis 12**n entries, so memory grows steeply past this.
@@ -161,16 +177,33 @@ def _trig_features(t: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _block_gates(spec: CircuitSpec, angles: np.ndarray) -> np.ndarray:
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)**popcount(index) for every basis index: the diagonal of Z on every qubit."""
+    idx = np.arange(2**n)
+    ones = sum((idx >> q) & 1 for q in range(n))
+    return 1.0 - 2.0 * (ones % 2)
+
+
+def _ladder_permutation(n: int) -> np.ndarray:
+    """Basis-index permutation of one CNOT ladder L: ``(L v)[i] = v[perm[i]]``."""
+    idx = np.arange(2**n)
+    perm = idx
+    for i in range(n - 1):
+        # each CNOT is its own inverse, flipping bit i+1 where bit i is set
+        perm = perm[idx ^ (((idx >> (n - 1 - i)) & 1) << (n - 2 - i))]
+    return perm
+
+
+def _block_gates(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     """Ladder times Ry layer for every block and filter: (depth, filters, dim, dim)."""
-    n = spec.n_qubits
-    t = angles.reshape(angles.shape[0], spec.depth, n).transpose(1, 0, 2)
+    n = n_qubits
+    t = angles.reshape(angles.shape[0], angles.shape[1] // n, n).transpose(1, 0, 2)
     c, s = np.cos(t), np.sin(t)
     ry = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
     gates = ry[..., 0, :, :]
     for q in range(1, n):
         gates = _kron(gates, ry[..., q, :, :])
-    return gates[..., ladder_permutation(spec), :]
+    return gates[..., _ladder_permutation(n), :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,10 +281,12 @@ class QuantumConv:
                 f"quantum window {window.height}x{window.width} needs {window.area} qubits; "
                 f"MAX_WINDOW_QUBITS is {MAX_WINDOW_QUBITS}"
             )
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
         self.window = window
         self.filters = filters
-        self.circuit = build_circuit(window.area, depth)
-        self.angles = rng.uniform(0.0, 2.0 * np.pi, size=(filters, self.circuit.param_count))
+        self.depth = depth
+        self.angles = rng.uniform(0.0, 2.0 * np.pi, size=(filters, window.area * depth))
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -262,20 +297,20 @@ class QuantumConv:
 
     def encode(self, xb: np.ndarray) -> Encoded:
         """phi of every window of xb; depends on the input only, never on the angles."""
-        phi = _trig_features(_windows(xb, self.window).reshape(-1, self.circuit.n_qubits))
+        phi = _trig_features(_windows(xb, self.window).reshape(-1, self.window.area))
         return Encoded(phi.reshape(phi.shape[0], xb.shape[0], -1), xb.shape)
 
     def forward(self, xb: np.ndarray):
         return self.forward_encoded(self.encode(xb))
 
     def forward_encoded(self, enc: Encoded):
-        n = self.circuit.n_qubits
-        gates = _block_gates(self.circuit, self.angles)
+        n = self.window.area
+        gates = _block_gates(self.angles, n)
         # parity observable pulled back through blocks depth-1 .. 0; observables[b]
         # is what the state entering block b is measured against
-        observables = np.empty((self.circuit.depth, self.filters, 2**n, 2**n))
-        obs = np.broadcast_to(np.diag(parity_signs(n)), (self.filters, 2**n, 2**n))
-        for block in range(self.circuit.depth - 1, -1, -1):
+        observables = np.empty((self.depth, self.filters, 2**n, 2**n))
+        obs = np.broadcast_to(np.diag(_parity_signs(n)), (self.filters, 2**n, 2**n))
+        for block in range(self.depth - 1, -1, -1):
             g = gates[block]
             obs = observables[block] = np.swapaxes(g, -1, -2) @ obs @ g
         basis = _pauli_basis(n)
@@ -288,12 +323,12 @@ class QuantumConv:
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         phi, coeffs = cache["phi"], cache["coeffs"]
-        n = self.circuit.n_qubits
+        n = self.window.area
         u = upstream.reshape(-1, self.filters)
 
         # d/dtheta sum_w u_wf f_f(x_w) = 2**(1-n) Tr(Z_b A_q M_b), with M the
         # upstream-weighted encoded densities carried forward to block b
-        dangles = np.empty((self.filters, self.circuit.depth, n))
+        dangles = np.empty((self.filters, self.depth, n))
         m = ((phi @ u).T @ cache["basis"]).reshape(self.filters, 2**n, 2**n)
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
             dangles[:, block] = _generator_traces(z, m, n)
@@ -318,13 +353,11 @@ class QuantumConv:
 class ClassicalConv:
     """Plain linear convolution, one m x n weight array per filter, no bias."""
 
-    def __init__(self, window: WindowSpec, filters: int, rng: np.random.Generator,
-                 relu: bool = True):
+    def __init__(self, window: WindowSpec, filters: int, rng: np.random.Generator):
         if filters < 1:
             raise ValueError(f"filters must be >= 1, got {filters}")
         self.window = window
         self.filters = filters
-        self.relu = relu
         bound = np.sqrt(6.0 / (window.area + filters))
         self.weights = rng.uniform(-bound, bound, size=(filters, window.height, window.width))
 
@@ -339,15 +372,13 @@ class ClassicalConv:
         win = _windows(xb, self.window)
         # one 2-D product; @ on the 5-D stack would run a batch of tiny products
         z = win.reshape(-1, self.window.area) @ self.weights.reshape(self.filters, -1).T
-        out = (np.maximum(z, 0.0) if self.relu else z).reshape(win.shape[:3] + (-1,))
+        out = np.maximum(z, 0.0).reshape(win.shape[:3] + (-1,))
         cache = {"win": win, "z": z, "in_shape": xb.shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         win, z = cache["win"], cache["z"]
-        u = upstream.reshape(z.shape)
-        if self.relu:
-            u = u * (z > 0.0)  # subgradient 0 at exactly 0
+        u = upstream.reshape(z.shape) * (z > 0.0)  # ReLU's subgradient is 0 at exactly 0
         dw = (u.T @ win.reshape(z.shape[0], -1)).reshape(self.weights.shape)
         dx = None
         if need_dx:

@@ -181,7 +181,7 @@ def build_network(model: str, architecture: str, n_classes: int, seed: int) -> N
     def conv(filters: int):
         if model == "qccnn":
             return QuantumConv(CONV_WINDOW, filters, QUANTUM_DEPTH, rng)
-        return ClassicalConv(CONV_WINDOW, filters, rng, relu=True)
+        return ClassicalConv(CONV_WINDOW, filters, rng)
 
     if architecture == "one-layer":
         layers = [conv(5), MaxPool(WindowSpec(2, 2, stride=1, padding=0))]

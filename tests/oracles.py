@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from qconv.pqc import CircuitSpec
-
 
 def ry_matrix(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -40,16 +38,16 @@ def cnot_matrix(control: int, target: int, n_qubits: int) -> np.ndarray:
     return mat
 
 
-def circuit_unitary(spec: CircuitSpec, params: np.ndarray) -> np.ndarray:
-    """Full circuit as an explicit matrix product of embedded gates."""
-    dim = 2**spec.n_qubits
-    unitary = np.eye(dim, dtype=np.complex128)
-    angles = np.asarray(params, dtype=float).reshape(spec.depth, spec.n_qubits)
-    for block in range(spec.depth):
-        for q in range(spec.n_qubits):
-            unitary = embed_single(ry_matrix(angles[block, q]), q, spec.n_qubits) @ unitary
-        for control, target in spec.cnot_pairs:
-            unitary = cnot_matrix(control, target, spec.n_qubits) @ unitary
+def circuit_unitary(n_qubits: int, params) -> np.ndarray:
+    """Full circuit as an explicit matrix product of embedded gates: each block
+    is Ry on every qubit, then the CNOT ladder i -> i+1 for i = 0..n-2."""
+    unitary = np.eye(2**n_qubits, dtype=np.complex128)
+    angles = np.asarray(params, dtype=float).reshape(-1, n_qubits)
+    for block_angles in angles:
+        for q in range(n_qubits):
+            unitary = embed_single(ry_matrix(block_angles[q]), q, n_qubits) @ unitary
+        for i in range(n_qubits - 1):
+            unitary = cnot_matrix(i, i + 1, n_qubits) @ unitary
     return unitary
 
 
@@ -69,9 +67,11 @@ def parity_expectation(amplitudes: np.ndarray) -> float:
     return total
 
 
-def feature(spec: CircuitSpec, params, window) -> float:
-    """Dense-matrix evaluation of the whole encode/evolve/measure chain."""
-    return parity_expectation(circuit_unitary(spec, np.asarray(params)) @ encode_state(window))
+def feature(params, window) -> float:
+    """Dense-matrix evaluation of the whole encode/evolve/measure chain,
+    one qubit per window value."""
+    n_qubits = np.asarray(window).size
+    return parity_expectation(circuit_unitary(n_qubits, params) @ encode_state(window))
 
 
 def central_difference(fn, values: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -124,8 +124,8 @@ def windows(image: np.ndarray, window) -> list:
 
 
 def naive_conv(image: np.ndarray, weights: np.ndarray, stride: int = 1,
-               padding: int = 0, relu: bool = False) -> np.ndarray:
-    """Triple-loop single-image convolution, per-channel independent filters."""
+               padding: int = 0) -> np.ndarray:
+    """Triple-loop single-image convolution, per-channel independent filters, then ReLU."""
     v, h, d = image.shape
     k, m, n = weights.shape
     if padding:
@@ -141,7 +141,7 @@ def naive_conv(image: np.ndarray, weights: np.ndarray, stride: int = 1,
                     for a in range(m):
                         for b in range(n):
                             acc += image[i * stride + a, j * stride + b, c] * weights[f, a, b]
-                    out[i, j, c * k + f] = max(acc, 0.0) if relu else acc
+                    out[i, j, c * k + f] = max(acc, 0.0)
     return out
 
 

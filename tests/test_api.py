@@ -1,7 +1,10 @@
 """The package's public names."""
 
 import dataclasses
+import importlib
 import types
+
+import pytest
 
 import qconv
 from qconv import tetris, training
@@ -31,3 +34,7 @@ def test_removed_names_are_gone():
     assert records == ["Dataset"]
     assert not hasattr(training, "run_experiment")
     assert "run_experiment" not in qconv.__all__
+    # the quantum filter is QuantumConv alone, with no circuit-layout module beside it
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qconv.pqc")
+    assert not {"CircuitSpec", "build_circuit"} & set(qconv.__all__)

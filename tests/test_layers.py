@@ -32,9 +32,10 @@ import oracles
 WIN = WindowSpec(2, 2)
 
 
-def oracle_filter(spec, params):
-    """`oracles.feature` of one filter as a function of the window, its dense unitary built once."""
-    unitary = oracles.circuit_unitary(spec, params)
+def oracle_filter(layer, params):
+    """`oracles.feature` of one of the layer's filters as a function of the window,
+    its dense unitary built once."""
+    unitary = oracles.circuit_unitary(layer.window.area, params)
     return lambda values: oracles.parity_expectation(unitary @ oracles.encode_state(values))
 
 
@@ -178,7 +179,7 @@ def test_quantum_conv_cells_match_standalone_features():
         assert out.shape == (2, 2, 2, 6)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
         for f in range(3):
-            feature = oracle_filter(layer.circuit, layer.angles[f])
+            feature = oracle_filter(layer, layer.angles[f])
             for s in range(2):
                 for i, j, c, values in oracles.windows(x[s], window):
                     assert out[s, i, j, c * 3 + f] == pytest.approx(feature(values), abs=1e-12)
@@ -200,14 +201,14 @@ def test_quantum_conv_single_window_matches_shift_rule():
     out, cache = layer.forward(x)
     upstream = np.full_like(out, 1.7)
     (dangles,), dx = layer.backward(upstream, cache)
-    spec, params, window = layer.circuit, layer.angles[0], x[0, :, :, 0].ravel()
+    params, window = layer.angles[0], x[0, :, :, 0].ravel()
     np.testing.assert_allclose(
         dangles[0], 1.7 * oracles.shift_difference(
-            lambda p: oracles.feature(spec, p, window), params), atol=1e-12
+            lambda p: oracles.feature(p, window), params), atol=1e-12
     )
     np.testing.assert_allclose(
         dx[0, :, :, 0].ravel(), 1.7 * oracles.shift_difference(
-            lambda w: oracles.feature(spec, params, w), window), atol=1e-12
+            lambda w: oracles.feature(params, w), window), atol=1e-12
     )
 
 
@@ -227,12 +228,12 @@ def test_quantum_conv_backward_matches_per_window_accumulation():
         for f in range(2):
 
             def weighted_output(params):  # the shift rule is linear, so shift the window sum
-                feature = oracle_filter(layer.circuit, params)
+                feature = oracle_filter(layer, params)
                 return sum(upstream[s, i, j, c * 2 + f] * feature(values)
                            for s, i, j, c, values in cells)
 
             want_angles[f] = oracles.shift_difference(weighted_output, layer.angles[f])
-            feature = oracle_filter(layer.circuit, layer.angles[f])
+            feature = oracle_filter(layer, layer.angles[f])
             for s, i, j, c, values in cells:
                 grad = upstream[s, i, j, c * 2 + f] * oracles.shift_difference(feature, values)
                 want_dx[s, i : i + m, j : j + n, c] += grad.reshape(m, n)
@@ -255,12 +256,11 @@ def test_quantum_conv_matches_dense_oracle(shape, depth, filters, samples, chann
     m, n = shape
     window = WindowSpec(m, n)
     layer = QuantumConv(window, filters=filters, depth=depth, rng=rng)
-    spec = layer.circuit
     x = rng.uniform(0.0, np.pi, (samples, m + extra, n + extra, channels))
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.shape)
     (dangles,), dx = layer.backward(upstream, cache)
-    assert dangles.shape == (filters, spec.n_qubits * depth)
+    assert dangles.shape == (filters, window.area * depth)
     want_angles = np.zeros_like(dangles)
     want_dx = np.zeros_like(x)
     for s in range(samples):
@@ -268,11 +268,11 @@ def test_quantum_conv_matches_dense_oracle(shape, depth, filters, samples, chann
             for f in range(filters):
                 cell = (s, i, j, c * filters + f)
                 params = layer.angles[f]
-                assert out[cell] == pytest.approx(oracles.feature(spec, params, values), abs=1e-12)
+                assert out[cell] == pytest.approx(oracles.feature(params, values), abs=1e-12)
                 want_angles[f] += upstream[cell] * oracles.central_difference(
-                    lambda p: oracles.feature(spec, p, values), params)
+                    lambda p: oracles.feature(p, values), params)
                 grad = upstream[cell] * oracles.central_difference(
-                    lambda w: oracles.feature(spec, params, w), values)
+                    lambda w: oracles.feature(params, w), values)
                 want_dx[s, i : i + m, j : j + n, c] += grad.reshape(m, n)
     np.testing.assert_allclose(dangles, want_angles, atol=1e-6)
     np.testing.assert_allclose(dx, want_dx, atol=1e-6)
@@ -301,7 +301,7 @@ def test_quantum_conv_gradient_scatter_conserves_window_sums():
     for i, j, c, values in oracles.windows(x[0], WIN):
         for f in range(2):
             grad = oracles.shift_difference(
-                lambda w: oracles.feature(layer.circuit, layer.angles[f], w), values)
+                lambda w: oracles.feature(layer.angles[f], w), values)
             total += (upstream[0, i, j, c * 2 + f] * grad).sum()
     assert dx.sum() == pytest.approx(total, abs=1e-10)
 
@@ -369,7 +369,7 @@ def test_quantum_conv_keeps_no_state_between_calls():
     net.forward_batch(x)
     net.forward_batch(net.encode(x))
     for layer in net.layers[:2]:
-        assert set(vars(layer)) == {"window", "filters", "circuit", "angles"}
+        assert set(vars(layer)) == {"window", "filters", "depth", "angles"}
 
 
 def assert_phi_built_once_per_set(monkeypatch, batch_size: int):
@@ -397,7 +397,7 @@ def test_one_layer_mini_batch_training_builds_phi_once_per_fixed_set(monkeypatch
 
 def test_classical_conv_all_ones_filter_sums_window():
     rng = np.random.default_rng(8)
-    layer = ClassicalConv(WIN, filters=1, rng=rng, relu=False)
+    layer = ClassicalConv(WIN, filters=1, rng=rng)
     layer.weights[...] = 1.0
     out, _ = layer.forward(np.ones((1, 3, 3, 1)))
     np.testing.assert_allclose(out, 4.0, atol=1e-15)
@@ -405,7 +405,7 @@ def test_classical_conv_all_ones_filter_sums_window():
 
 def test_classical_conv_one_hot_filter_picks_pixels():
     rng = np.random.default_rng(9)
-    layer = ClassicalConv(WIN, filters=1, rng=rng, relu=False)
+    layer = ClassicalConv(WIN, filters=1, rng=rng)
     layer.weights[...] = 0.0
     layer.weights[0, 1, 1] = 1.0
     x = np.arange(9, dtype=float).reshape(1, 3, 3, 1)
@@ -416,18 +416,17 @@ def test_classical_conv_one_hot_filter_picks_pixels():
 
 def test_classical_conv_matches_loop_oracle():
     rng = np.random.default_rng(10)
-    for relu in (False, True):
-        layer = ClassicalConv(WIN, filters=3, rng=rng, relu=relu)
-        x = rng.standard_normal((2, 3, 3, 2))
-        out, _ = layer.forward(x)
-        for s in range(2):
-            want = oracles.naive_conv(x[s], layer.weights, relu=relu)
-            np.testing.assert_allclose(out[s], want, atol=1e-12)
+    layer = ClassicalConv(WIN, filters=3, rng=rng)
+    x = rng.standard_normal((2, 3, 3, 2))
+    out, _ = layer.forward(x)
+    for s in range(2):
+        np.testing.assert_allclose(out[s], oracles.naive_conv(x[s], layer.weights), atol=1e-12)
 
 
 def test_classical_conv_single_window_filter_grad_is_window():
     rng = np.random.default_rng(11)
-    layer = ClassicalConv(WIN, filters=1, rng=rng, relu=False)
+    layer = ClassicalConv(WIN, filters=1, rng=rng)
+    layer.weights[...] = np.abs(layer.weights)  # on a positive window ReLU passes everything
     x = rng.random((1, 2, 2, 1))
     out, cache = layer.forward(x)
     (dw,), _ = layer.backward(np.full_like(out, 2.0), cache)
@@ -436,7 +435,7 @@ def test_classical_conv_single_window_filter_grad_is_window():
 
 def test_classical_conv_backward_matches_finite_differences():
     rng = np.random.default_rng(12)
-    layer = ClassicalConv(WIN, filters=2, rng=rng, relu=True)
+    layer = ClassicalConv(WIN, filters=2, rng=rng)
     x = rng.standard_normal((2, 3, 3, 2))
     upstream = rng.standard_normal((2, 2, 2, 4))
     out, cache = layer.forward(x)
@@ -480,14 +479,15 @@ def test_classical_conv_matches_oracles_on_any_geometry(geometry, samples, chann
     window, v, h = geometry
     rng = np.random.default_rng(seed)
     x = rng.integers(-2, 3, (samples, v, h, channels)).astype(float)
-    for relu in (False, True):
-        layer = ClassicalConv(window, filters, np.random.default_rng(seed), relu=relu)
-        out, _ = layer.forward(x)
-        for s in range(samples):
-            want = oracles.naive_conv(x[s], layer.weights, window.stride, window.padding, relu)
-            np.testing.assert_allclose(out[s], want, atol=1e-12)
-    # gradients of the linear layer: ReLU's kink at an all-zero window defeats differences
-    layer = ClassicalConv(window, filters, np.random.default_rng(seed), relu=False)
+    layer = ClassicalConv(window, filters, np.random.default_rng(seed))
+    out, _ = layer.forward(x)
+    for s in range(samples):
+        want = oracles.naive_conv(x[s], layer.weights, window.stride, window.padding)
+        np.testing.assert_allclose(out[s], want, atol=1e-12)
+    # gradients away from ReLU's kink: positive weights on positive inputs leave only
+    # all-padding windows at 0, and those stay 0 whatever the weights and inputs
+    layer.weights[...] = np.abs(layer.weights) + 0.1
+    x = np.abs(x) + 1.0
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.shape)
     (dw,), dx = layer.backward(upstream, cache)
@@ -498,7 +498,7 @@ def test_classical_conv_matches_oracles_on_any_geometry(geometry, samples, chann
 
 def test_relu_subgradient_is_zero_at_zero():
     rng = np.random.default_rng(13)
-    layer = ClassicalConv(WIN, filters=1, rng=rng, relu=True)
+    layer = ClassicalConv(WIN, filters=1, rng=rng)
     layer.weights[...] = 1.0
     x = np.zeros((1, 2, 2, 1))  # pre-activation exactly 0
     out, cache = layer.forward(x)

@@ -1,6 +1,6 @@
-"""The circuit: its layout, gates and parity signs, and the encoding,
-evolution, features and exact shift-rule gradients that `QuantumConv`
-computes for it, one window at a time."""
+"""`QuantumConv`'s circuit: its layout, gates and parity signs, the
+angles that never train, and the encoding, evolution, features and exact
+shift-rule gradients the layer computes for it, one window at a time."""
 
 import functools
 import itertools
@@ -8,26 +8,33 @@ import itertools
 import numpy as np
 import pytest
 
-from qconv.layers import QuantumConv, WindowSpec, _block_gates, _trig_features
-from qconv.pqc import build_circuit, ladder_permutation, parity_signs
+from qconv.layers import (
+    QuantumConv,
+    WindowSpec,
+    _block_gates,
+    _ladder_permutation,
+    _parity_signs,
+    _trig_features,
+)
 
 import oracles
 
 
-def on_one_window(spec, params, window):
+def on_one_window(params, window):
     """QuantumConv with one filter on one 1 x n window: (feature, angle grad, input grad)."""
     window = np.asarray(window, dtype=float).ravel()
-    layer = QuantumConv(WindowSpec(1, window.size), 1, spec.depth, np.random.default_rng(0))
+    depth = np.size(params) // window.size
+    layer = QuantumConv(WindowSpec(1, window.size), 1, depth, np.random.default_rng(0))
     layer.angles[0] = params
     out, cache = layer.forward(window.reshape(1, 1, -1, 1))
     (dangles,), dx = layer.backward(np.ones_like(out), cache)
     return out.item(), dangles[0], dx.ravel()
 
 
-def circuit_matrix(spec, params):
+def circuit_matrix(n_qubits, params):
     """Product of the layer's block gates: the whole circuit as one matrix."""
-    matrix = np.eye(2**spec.n_qubits)
-    for gate in _block_gates(spec, np.asarray(params, dtype=float).reshape(1, -1)):
+    matrix = np.eye(2**n_qubits)
+    for gate in _block_gates(np.asarray(params, dtype=float).reshape(1, -1), n_qubits):
         matrix = gate[0] @ matrix
     return matrix
 
@@ -46,28 +53,24 @@ def pauli_coordinates(state):
 # layout
 
 def test_benchmark_circuit_counts():
-    spec = build_circuit(4, 4)
-    assert spec.param_count == 16
-    assert spec.cnot_pairs == ((0, 1), (1, 2), (2, 3))
+    layer = QuantumConv(WindowSpec(2, 2), 5, 4, np.random.default_rng(0))
+    assert layer.angles.shape == (5, 16)
 
 
 def test_depth_zero_circuit_is_empty():
-    spec = build_circuit(4, 0)
-    assert spec.param_count == 0
-    assert _block_gates(spec, np.zeros((1, 0))).shape == (0, 1, 16, 16)
+    layer = QuantumConv(WindowSpec(2, 2), 1, 0, np.random.default_rng(0))
+    assert layer.angles.shape == (1, 0)
+    assert _block_gates(layer.angles, 4).shape == (0, 1, 16, 16)
 
 
 def test_small_circuit_counts():
-    spec = build_circuit(2, 3)
-    assert spec.param_count == 6
-    assert spec.cnot_pairs == ((0, 1),)
+    layer = QuantumConv(WindowSpec(1, 2), 3, 3, np.random.default_rng(0))
+    assert layer.angles.shape == (3, 6)
 
 
 def test_build_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        build_circuit(0, 1)
-    with pytest.raises(ValueError):
-        build_circuit(2, -1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        QuantumConv(WindowSpec(1, 2), 1, -1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +106,7 @@ def test_encode_matches_kronecker_oracle():
     pytest.param(np.pi / 4, [np.sqrt(0.5), np.sqrt(0.5)], 1e-12, id="quarter_pi_equal_superposition"),
 ])
 def test_ry_on_the_zero_state(angle, want, atol):
-    np.testing.assert_allclose(circuit_matrix(build_circuit(1, 1), [angle])[:, 0], want, atol=atol)
+    np.testing.assert_allclose(circuit_matrix(1, [angle])[:, 0], want, atol=atol)
 
 
 @pytest.mark.parametrize("amps, want", [
@@ -113,7 +116,7 @@ def test_ry_on_the_zero_state(angle, want, atol):
     pytest.param([1, 0, 1, 0], [1, 0, 0, 1], id="entangles_superposed_control"),
 ])
 def test_cnot_on_two_qubit_states(amps, want):
-    np.testing.assert_array_equal(np.asarray(amps)[ladder_permutation(build_circuit(2, 1))], want)
+    np.testing.assert_array_equal(np.asarray(amps)[_ladder_permutation(2)], want)
 
 
 def test_zero_angles_leave_only_the_cnot_ladders():
@@ -121,18 +124,16 @@ def test_zero_angles_leave_only_the_cnot_ladders():
         ladder = np.eye(2**n)
         for i in range(n - 1):
             ladder = oracles.cnot_matrix(i, i + 1, n).real @ ladder
-        spec = build_circuit(n, 2)
-        for gate in _block_gates(spec, np.zeros((1, spec.param_count))):
+        for gate in _block_gates(np.zeros((1, 2 * n)), n):
             np.testing.assert_array_equal(gate[0], ladder)
 
 
 def test_block_gates_treat_each_filter_row_independently():
     rng = np.random.default_rng(19)
-    spec = build_circuit(3, 2)
-    angles = rng.uniform(0, 2 * np.pi, (6, spec.param_count))
-    got = _block_gates(spec, angles)
+    angles = rng.uniform(0, 2 * np.pi, (6, 6))
+    got = _block_gates(angles, 3)
     for row in range(6):
-        np.testing.assert_allclose(got[:, row], _block_gates(spec, angles[row : row + 1])[:, 0],
+        np.testing.assert_allclose(got[:, row], _block_gates(angles[row : row + 1], 3)[:, 0],
                                    atol=1e-15)
 
 
@@ -140,11 +141,10 @@ def test_block_gates_treat_each_filter_row_independently():
 # evolution: the product of the layer's block gates
 
 def test_depth_zero_feature_is_parity_of_encoded_state():
-    spec = build_circuit(4, 0)
     rng = np.random.default_rng(29)
     for window in rng.uniform(0, 2 * np.pi, (5, 4)):
         want = oracles.parity_expectation(oracles.encode_state(window))
-        assert on_one_window(spec, [], window)[0] == pytest.approx(want, abs=1e-12)
+        assert on_one_window([], window)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_circuit_matches_dense_unitary_oracle():
@@ -152,20 +152,18 @@ def test_circuit_matches_dense_unitary_oracle():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         depth = int(rng.integers(0, 5))
-        spec = build_circuit(n, depth)
-        params = rng.uniform(0, 2 * np.pi, spec.param_count)
+        params = rng.uniform(0, 2 * np.pi, n * depth)
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         amps /= np.linalg.norm(amps)
-        got = circuit_matrix(spec, params) @ amps
-        want = oracles.circuit_unitary(spec, params) @ amps
+        got = circuit_matrix(n, params) @ amps
+        want = oracles.circuit_unitary(n, params) @ amps
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_circuit_preserves_norm_over_100_blocks():
     rng = np.random.default_rng(17)
     for n in (2, 4, 6):
-        spec = build_circuit(n, 100)
-        state = circuit_matrix(spec, rng.uniform(0, 2 * np.pi, spec.param_count))[:, 0]
+        state = circuit_matrix(n, rng.uniform(0, 2 * np.pi, n * 100))[:, 0]
         assert abs(state @ state - 1.0) <= 1e-10
 
 
@@ -178,22 +176,20 @@ def test_circuit_preserves_norm_over_100_blocks():
     pytest.param(np.full(16, 1 / 16), 0.0, id="uniform_superposition_is_zero"),
 ])
 def test_parity_expectation_on_four_qubits(probabilities, want):
-    assert parity_signs(4) @ probabilities == want
+    assert _parity_signs(4) @ probabilities == want
 
 
 # ---------------------------------------------------------------------------
 # feature values
 
 def test_feature_of_ground_state_is_one():
-    spec = build_circuit(4, 4)
-    assert on_one_window(spec, np.zeros(16), np.zeros(4))[0] == pytest.approx(1.0, abs=1e-12)
+    assert on_one_window(np.zeros(16), np.zeros(4))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_feature_all_ones_window_against_oracle():
-    spec = build_circuit(4, 1)
     window = np.full(4, np.pi / 2)
-    got = on_one_window(spec, np.zeros(4), window)[0]
-    want = oracles.feature(spec, np.zeros(4), window)
+    got = on_one_window(np.zeros(4), window)[0]
+    want = oracles.feature(np.zeros(4), window)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -201,33 +197,30 @@ def test_feature_bounded_for_random_inputs():
     rng = np.random.default_rng(43)
     for _ in range(25):
         n = int(rng.choice([2, 4]))
-        spec = build_circuit(n, int(rng.integers(0, 5)))
-        params = rng.uniform(0, 2 * np.pi, spec.param_count)
+        params = rng.uniform(0, 2 * np.pi, n * int(rng.integers(0, 5)))
         window = rng.uniform(-np.pi, np.pi, n)
-        value = on_one_window(spec, params, window)[0]
+        value = on_one_window(params, window)[0]
         assert -1.0 <= value <= 1.0
-        assert value == pytest.approx(oracles.feature(spec, params, window), abs=1e-12)
+        assert value == pytest.approx(oracles.feature(params, window), abs=1e-12)
 
 
 def test_feature_is_two_pi_periodic_in_each_angle():
     rng = np.random.default_rng(47)
-    spec = build_circuit(3, 2)
-    params = rng.uniform(0, 2 * np.pi, spec.param_count)
+    params = rng.uniform(0, 2 * np.pi, 6)
     window = rng.uniform(0, 1, 3)
-    base = on_one_window(spec, params, window)[0]
-    for j in range(spec.param_count):
+    base = on_one_window(params, window)[0]
+    for j in range(params.size):
         shifted = params.copy()
         shifted[j] += 2 * np.pi
-        assert on_one_window(spec, shifted, window)[0] == pytest.approx(base, abs=1e-12)
+        assert on_one_window(shifted, window)[0] == pytest.approx(base, abs=1e-12)
 
 
 def test_feature_deterministic():
-    spec = build_circuit(4, 3)
     rng = np.random.default_rng(53)
-    params = rng.uniform(0, 2 * np.pi, spec.param_count)
+    params = rng.uniform(0, 2 * np.pi, 12)
     window = rng.uniform(0, 1, 4)
-    a = on_one_window(spec, params, window)
-    b = on_one_window(spec, params.copy(), window.copy())
+    a = on_one_window(params, window)
+    b = on_one_window(params.copy(), window.copy())
     assert a[0] == b[0]  # bit identical
     np.testing.assert_array_equal(a[1], b[1])
     np.testing.assert_array_equal(a[2], b[2])
@@ -237,48 +230,38 @@ def test_feature_deterministic():
 # gradients
 
 def test_param_gradient_empty_for_depth_zero():
-    assert on_one_window(build_circuit(3, 0), [], np.zeros(3))[1].shape == (0,)
+    assert on_one_window([], np.zeros(3))[1].shape == (0,)
 
 
 def test_param_gradient_matches_finite_differences():
     rng = np.random.default_rng(59)
     for _ in range(60):
         n = int(rng.choice([2, 4]))
-        spec = build_circuit(n, int(rng.integers(1, 5)))
-        params = rng.uniform(0, 2 * np.pi, spec.param_count)
+        params = rng.uniform(0, 2 * np.pi, n * int(rng.integers(1, 5)))
         window = rng.uniform(0, 2 * np.pi, n)
-        got = on_one_window(spec, params, window)[1]
-        want = oracles.central_difference(
-            lambda p: oracles.feature(spec, p, window), params
-        )
+        got = on_one_window(params, window)[1]
+        want = oracles.central_difference(lambda p: oracles.feature(p, window), params)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
 def test_single_qubit_gradient_closed_form():
     # One qubit, window 0: f(t) = cos(2t), so df/dt = -2 sin(2t)
-    spec = build_circuit(1, 1)
     for theta in (0.0, 0.3, 1.2, -0.7):
-        got = on_one_window(spec, [theta], [0.0])[1][0]
+        got = on_one_window([theta], [0.0])[1][0]
         assert got == pytest.approx(-2.0 * np.sin(2.0 * theta), abs=1e-12)
-        fd = oracles.central_difference(
-            lambda p: oracles.feature(spec, p, [0.0]), np.array([theta])
-        )[0]
+        fd = oracles.central_difference(lambda p: oracles.feature(p, [0.0]), np.array([theta]))[0]
         assert got == pytest.approx(fd, abs=1e-6)
 
 
 def test_input_gradient_zero_at_parity_extremum():
-    spec = build_circuit(1, 0)
-    assert on_one_window(spec, [], [0.0])[2][0] == pytest.approx(0.0, abs=1e-15)
+    assert on_one_window([], [0.0])[2][0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_input_gradient_analytic_value_at_quarter_pi():
     # f(w) = cos(2w) for a bare single qubit; df/dw at pi/4 is -2
-    spec = build_circuit(1, 0)
-    got = on_one_window(spec, [], [np.pi / 4])[2][0]
+    got = on_one_window([], [np.pi / 4])[2][0]
     assert got == pytest.approx(-2.0, abs=1e-12)
-    fd = oracles.central_difference(
-        lambda w: oracles.feature(spec, [], w), np.array([np.pi / 4])
-    )[0]
+    fd = oracles.central_difference(lambda w: oracles.feature([], w), np.array([np.pi / 4]))[0]
     assert got == pytest.approx(fd, abs=1e-6)
 
 
@@ -286,13 +269,10 @@ def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(61)
     for _ in range(40):
         n = int(rng.choice([2, 4]))
-        spec = build_circuit(n, int(rng.integers(0, 5)))
-        params = rng.uniform(0, 2 * np.pi, spec.param_count)
+        params = rng.uniform(0, 2 * np.pi, n * int(rng.integers(0, 5)))
         window = rng.uniform(0, 2 * np.pi, n)
-        got = on_one_window(spec, params, window)[2]
-        want = oracles.central_difference(
-            lambda w: oracles.feature(spec, params, w), window
-        )
+        got = on_one_window(params, window)[2]
+        want = oracles.central_difference(lambda w: oracles.feature(params, w), window)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -301,24 +281,58 @@ def test_shift_constant_is_quarter_turn():
     # gradients equal the quarter-turn (pi/4) shift difference exactly;
     # the textbook half-turn shift fails the finite-difference check.
     rng = np.random.default_rng(67)
-    spec = build_circuit(2, 2)
-    params = rng.uniform(0, 2 * np.pi, spec.param_count)
+    params = rng.uniform(0, 2 * np.pi, 4)
     window = rng.uniform(0, 2 * np.pi, 2)
-    _, got_p, got_w = on_one_window(spec, params, window)
+    _, got_p, got_w = on_one_window(params, window)
     np.testing.assert_allclose(
-        got_p, oracles.shift_difference(lambda p: oracles.feature(spec, p, window), params),
-        atol=1e-12,
+        got_p, oracles.shift_difference(lambda p: oracles.feature(p, window), params), atol=1e-12
     )
     np.testing.assert_allclose(
-        got_w, oracles.shift_difference(lambda w: oracles.feature(spec, params, w), window),
-        atol=1e-12,
+        got_w, oracles.shift_difference(lambda w: oracles.feature(params, w), window), atol=1e-12
     )
-    fd = oracles.central_difference(lambda p: oracles.feature(spec, p, window), params)
+    fd = oracles.central_difference(lambda p: oracles.feature(p, window), params)
     wrong = np.empty_like(fd)
-    for j in range(spec.param_count):
+    for j in range(params.size):
         shifted = params.copy()
         shifted[j] = params[j] + np.pi / 2
-        up = oracles.feature(spec, shifted, window)
+        up = oracles.feature(shifted, window)
         shifted[j] = params[j] - np.pi / 2
-        wrong[j] = up - oracles.feature(spec, shifted, window)
+        wrong[j] = up - oracles.feature(shifted, window)
     assert np.max(np.abs(wrong - fd)) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# angles that never train: pulled back through the last CNOT ladder, the
+# parity is a Z-string, and the last block's Ry on a qubit outside it
+# commutes out (Bermejo et al. 2024, arXiv:2408.12739)
+
+def qubits_outside_pulled_back_parity(n):
+    """Qubits on which Z^n, pulled back through one oracle CNOT ladder, acts as identity."""
+    ladder = np.eye(2**n)
+    for i in range(n - 1):
+        ladder = oracles.cnot_matrix(i, i + 1, n).real @ ladder
+    pulled = ladder.T @ functools.reduce(np.kron, [np.diag([1.0, -1.0])] * n, np.eye(1)) @ ladder
+    diagonal = np.diag(pulled)
+    np.testing.assert_array_equal(pulled, np.diag(diagonal))  # a Z-string is diagonal
+    index = np.arange(2**n)
+    return {q for q in range(n) if np.array_equal(diagonal, diagonal[index ^ (1 << (n - 1 - q))])}
+
+
+@pytest.mark.parametrize("n, want", [(3, {1}), (4, {0, 2}), (5, {1, 3}), (6, {0, 2, 4})])
+def test_last_block_angles_outside_the_pulled_back_parity_never_train(n, want):
+    dead = qubits_outside_pulled_back_parity(n)
+    assert dead == want and len(dead) == n // 2
+    rng = np.random.default_rng(n)
+    for depth in (1, 2, 4):
+        size = n * depth
+        theta = rng.uniform(0, 2 * np.pi, size)
+        quarter = np.pi / 4 * np.eye(size)
+        layer = QuantumConv(WindowSpec(1, n), 2 * size + 1, depth, rng)
+        layer.angles[...] = np.vstack((theta, theta + quarter, theta - quarter))
+        coeffs = layer.forward(np.zeros((1, 1, n, 1)))[1]["coeffs"]
+        up, down = coeffs[1 : size + 1] - coeffs[0], coeffs[size + 1 :] - coeffs[0]
+        last_block_dead = [(depth - 1) * n + q for q in sorted(dead)]
+        assert np.max(np.abs(up[last_block_dead])) <= 1e-14
+        assert np.max(np.abs(down[last_block_dead])) <= 1e-14
+        # row j is the exact shift-rule derivative of the coefficients in angle j
+        assert np.linalg.matrix_rank(up - down) == size - n // 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qconv.layers import Dense, Network
+from qconv.layers import ClassicalConv, Dense, Network, QuantumConv
 from qconv.tetris import Dataset, filter_labels, generate_dataset, split
 from qconv.training import (
     ARCHITECTURES,
@@ -215,11 +215,11 @@ def test_run_experiment_output_shape_and_headers():
 
 def test_build_network_two_layer_uses_four_qubits_depth_four():
     net = build_network("qccnn", "two-layer", 5, seed=0)
-    quantum = [layer for layer in net.layers if hasattr(layer, "circuit")]
+    quantum = [layer for layer in net.layers if isinstance(layer, QuantumConv)]
     assert len(quantum) == 2
     for layer in quantum:
-        assert layer.circuit.n_qubits == 4
-        assert layer.circuit.depth == 4
+        assert layer.window.area == 4
+        assert layer.depth == 4
         assert layer.angles.shape[1] == 16
 
 
@@ -230,7 +230,10 @@ def test_build_network_classical_baseline_matches_shapes():
     a, _ = qccnn.forward_batch(x)
     b, _ = cnn.forward_batch(x)
     assert a.shape == b.shape == (3, 5)
-    assert any(layer.relu for layer in cnn.layers if hasattr(layer, "relu"))
+    conv = cnn.layers[0]
+    assert isinstance(conv, ClassicalConv)
+    out, _ = conv.forward(x - 0.5)
+    assert np.all(out >= 0.0) and np.any(out == 0.0)  # the classical filters end in ReLU
 
 
 def test_run_experiment_rejects_bad_combinations():
