@@ -5,12 +5,14 @@ channels); batched variants carry a leading sample axis.  ``forward``
 returns ``(output, cache)`` and ``backward`` consumes that cache.
 Layers keep no state between calls beyond their parameters.
 
-Every window layer reads the same windows: one strided slice of the
-zero-padded input per window offset, gathered in (samples, rows, cols,
-channels, offset) order and scattered back from it.  Convolution layers
-apply every filter to every input channel independently; input channel
-c under filter f lands on output channel ``c * filters + f`` (a reshape
-of the (..., channels, filters) products), giving ``d * k`` channels.
+Every window layer reads one strided slice of the zero-padded input per
+window offset, gathered in (offset, rows, cols, channels, samples) order,
+and scatters gradients back from it: with samples innermost, numpy's inner
+loops run over samples, not over 1-6 channels.  Batches pass between
+layers as (samples, rows, cols, channels) views of samples-last memory.
+Convolution layers apply every filter to every input channel
+independently; input channel c under filter f lands on output channel
+``c * filters + f`` (`_merge_filters`), giving ``d * k`` channels.
 
 `QuantumConv`'s circuit has one qubit per window value, row-major, and
 depth D is D blocks of
@@ -102,44 +104,49 @@ def _window_offsets(window: WindowSpec, rows: int, cols: int) -> list[tuple[slic
 
 
 def _window_slices(xb: np.ndarray, window: WindowSpec) -> list[np.ndarray]:
-    """The (S, rows, cols, d) slice of the zero-padded batch under each window offset."""
+    """The (rows, cols, d, S) slice of the zero-padded batch under each window offset."""
     rows, cols, _ = output_shape(xb.shape[1:], window)
     p = window.padding
-    xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
-    return [xp[:, r, c] for r, c in _window_offsets(window, rows, cols)]
+    xt = xb.transpose(1, 2, 3, 0)  # already contiguous for the batches layers return
+    if p:
+        xp = np.zeros((xt.shape[0] + 2 * p, xt.shape[1] + 2 * p) + xt.shape[2:])
+        xp[p:-p, p:-p] = xt
+    else:
+        xp = np.ascontiguousarray(xt)
+    return [xp[r, c] for r, c in _window_offsets(window, rows, cols)]
 
 
 def _windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """Every window of a batch as (samples, rows, cols, channels, m*n), values row-major."""
-    return np.stack(_window_slices(xb, window), axis=-1)
+    """Every window of a batch as (m*n, rows, cols, channels, samples), values row-major."""
+    return np.stack(_window_slices(xb, window))
 
 
 def _overlap_add(term, window: WindowSpec, rows: int, cols: int, input_shape) -> np.ndarray:
     """Sum ``term(k)``, window offset k's (rows, cols, d, S) terms, onto the input: (S, v, h, d).
 
     One strided add per window offset, taken in reverse, so that every
-    input cell sums its terms in the output cells' row-major order.  The
-    sample axis is innermost while summing, so each add moves contiguous
-    runs of samples rather than a few channels at a time.  ``term`` lets
-    `MaxPool` build each offset's terms as they are added: stacking them
-    first took one more large allocation per call and was slower inside
-    a training step.
+    input cell sums its terms in the output cells' row-major order.
+    `MaxPool` builds each offset's terms as they are added: stacking them
+    first took one more large allocation per call.
     """
     samples, v, h, d = input_shape
     p = window.padding
     dxp = np.zeros((v + 2 * p, h + 2 * p, d, samples))
     for k, (r, c) in reversed(list(enumerate(_window_offsets(window, rows, cols)))):
         dxp[r, c] += term(k)
-    dx = np.moveaxis(dxp, 3, 0)
-    return dx[:, p : p + v, p : p + h, :] if p else dx
+    return dxp[p : p + v, p : p + h].transpose(3, 0, 1, 2)
 
 
-def _scatter_windows(dwin: np.ndarray, window: WindowSpec, input_shape) -> np.ndarray:
-    """Overlap-add per-window input gradients (S, rows, cols, d, m*n) onto the input."""
-    rows, cols = dwin.shape[1:3]
-    # (m*n, rows, cols, d, S), copied so that each offset's terms are one contiguous block
-    terms = np.ascontiguousarray(dwin.transpose(4, 1, 2, 3, 0))
-    return _overlap_add(terms.__getitem__, window, rows, cols, input_shape)
+def _merge_filters(y: np.ndarray) -> np.ndarray:
+    """(F, rows, cols, d, S) outputs as the samples-last (S, rows, cols, d*F), channel c*F + f."""
+    merged = y.transpose(1, 2, 3, 0, 4).reshape(y.shape[1:3] + (-1, y.shape[4]))
+    return merged.transpose(3, 0, 1, 2)
+
+
+def _split_filters(upstream: np.ndarray, filters: int) -> np.ndarray:
+    """The inverse of `_merge_filters` on an upstream gradient, flattened: (F, rows*cols*d*S)."""
+    y = upstream.transpose(1, 2, 3, 0).reshape(upstream.shape[1:3] + (-1, filters, upstream.shape[0]))
+    return y.transpose(3, 0, 1, 2, 4).reshape(filters, -1)
 
 
 # I, Z and X.  An encoded qubit's density is (I + cos 2t Z + sin 2t X) / 2,
@@ -167,12 +174,12 @@ def _pauli_basis(n_qubits: int) -> np.ndarray:
 
 
 def _trig_features(t: np.ndarray) -> np.ndarray:
-    """phi(x) = (x)_q (1, cos 2t_q, sin 2t_q), qubit 0 leftmost: (W, n) -> (3**n, W)."""
-    windows = t.shape[0]
+    """phi(x) = (x)_q (1, cos 2t_q, sin 2t_q), qubit 0 leftmost: (n, W) -> (3**n, W)."""
+    windows = t.shape[1]
     cos, sin = np.cos(2.0 * t), np.sin(2.0 * t)
     phi = np.ones((1, windows))
-    for q in range(t.shape[1]):
-        factor = np.stack((np.ones(windows), cos[:, q], sin[:, q]))
+    for q in range(t.shape[0]):
+        factor = np.stack((np.ones(windows), cos[q], sin[q]))
         phi = (phi[:, None, :] * factor[None]).reshape(-1, windows)
     return phi
 
@@ -234,11 +241,10 @@ def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class Encoded:
-    """A batch as `QuantumConv` sees it: read-only phi of shape
-    (3**n, samples, windows per sample), in the memory order of the
-    (3**n, windows) product, and the raw batch's shape.  Indexing takes
-    samples, so ``inputs[idx]`` is a mini-batch of raw and encoded
-    inputs alike."""
+    """A batch as `QuantumConv` sees it: read-only phi of shape (3**n,
+    windows per sample, samples) and the raw batch's shape.  Indexing takes
+    samples, by slice or index array, so ``inputs[idx]`` is a mini-batch of
+    raw and encoded inputs alike."""
 
     phi: np.ndarray
     in_shape: tuple
@@ -247,8 +253,10 @@ class Encoded:
         self.phi.flags.writeable = False
 
     def __getitem__(self, idx) -> Encoded:
-        phi = self.phi[:, idx]
-        return Encoded(phi, (phi.shape[1],) + tuple(self.in_shape[1:]))
+        if not isinstance(idx, slice) and np.ndim(idx) == 0:
+            raise TypeError(f"index Encoded with a slice or an array of samples, got {idx!r}")
+        phi = self.phi[..., idx]
+        return Encoded(phi, (phi.shape[-1],) + tuple(self.in_shape[1:]))
 
 
 class QuantumConv:
@@ -297,8 +305,8 @@ class QuantumConv:
 
     def encode(self, xb: np.ndarray) -> Encoded:
         """phi of every window of xb; depends on the input only, never on the angles."""
-        phi = _trig_features(_windows(xb, self.window).reshape(-1, self.window.area))
-        return Encoded(phi.reshape(phi.shape[0], xb.shape[0], -1), xb.shape)
+        phi = _trig_features(_windows(xb, self.window).reshape(self.window.area, -1))
+        return Encoded(phi.reshape(phi.shape[0], -1, xb.shape[0]), xb.shape)
 
     def forward(self, xb: np.ndarray):
         return self.forward_encoded(self.encode(xb))
@@ -316,7 +324,8 @@ class QuantumConv:
         basis = _pauli_basis(n)
         coeffs = obs.reshape(self.filters, -1) @ basis.T / 2**n  # Tr(O P) = sum(O * P), P = P^T
         phi = enc.phi.reshape(3**n, -1)
-        out = (coeffs @ phi).T.reshape(enc.in_shape[:1] + self.out_shape(enc.in_shape[1:]))
+        rows, cols, _ = self.out_shape(enc.in_shape[1:])
+        out = _merge_filters((coeffs @ phi).reshape(self.filters, rows, cols, -1, enc.in_shape[0]))
         cache = {"phi": phi, "coeffs": coeffs, "basis": basis, "gates": gates,
                  "observables": observables, "in_shape": enc.in_shape}
         return out, cache
@@ -324,12 +333,12 @@ class QuantumConv:
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         phi, coeffs = cache["phi"], cache["coeffs"]
         n = self.window.area
-        u = upstream.reshape(-1, self.filters)
+        u = _split_filters(upstream, self.filters)
 
-        # d/dtheta sum_w u_wf f_f(x_w) = 2**(1-n) Tr(Z_b A_q M_b), with M the
+        # d/dtheta sum_w u_fw f_f(x_w) = 2**(1-n) Tr(Z_b A_q M_b), with M the
         # upstream-weighted encoded densities carried forward to block b
         dangles = np.empty((self.filters, self.depth, n))
-        m = ((phi @ u).T @ cache["basis"]).reshape(self.filters, 2**n, 2**n)
+        m = (u @ phi.T @ cache["basis"]).reshape(self.filters, 2**n, 2**n)
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
             dangles[:, block] = _generator_traces(z, m, n)
             m = g @ m @ np.swapaxes(g, -1, -2)
@@ -338,15 +347,15 @@ class QuantumConv:
         dx = None
         if need_dx:
             # d phi / d t_q maps qubit q's factor (1, c, s) to (0, -2s, 2c)
-            v = coeffs.T @ u.T
+            v = coeffs.T @ u
             dwin = np.empty((n, phi.shape[1]))
             for q in range(n):
                 vq = v.reshape(3**q, 3, -1, phi.shape[1])
                 pq = phi.reshape(vq.shape)
                 dwin[q] = 2.0 * (np.einsum("ajw,ajw->w", vq[:, 2], pq[:, 1])
                                  - np.einsum("ajw,ajw->w", vq[:, 1], pq[:, 2]))
-            dx = _scatter_windows(dwin.T.reshape(upstream.shape[:3] + (-1, n)), self.window,
-                                  cache["in_shape"])
+            dwin = dwin.reshape((n,) + upstream.shape[1:3] + (-1, upstream.shape[0]))
+            dx = _overlap_add(dwin.__getitem__, self.window, *upstream.shape[1:3], cache["in_shape"])
         return [dangles], dx
 
 
@@ -371,19 +380,20 @@ class ClassicalConv:
     def forward(self, xb: np.ndarray):
         win = _windows(xb, self.window)
         # one 2-D product; @ on the 5-D stack would run a batch of tiny products
-        z = win.reshape(-1, self.window.area) @ self.weights.reshape(self.filters, -1).T
-        out = np.maximum(z, 0.0).reshape(win.shape[:3] + (-1,))
+        z = self.weights.reshape(self.filters, -1) @ win.reshape(self.window.area, -1)
+        np.maximum(z, 0.0, out=z)  # ReLU; backward's z > 0 mask is the same either side of it
+        out = _merge_filters(z.reshape((-1,) + win.shape[1:]))
         cache = {"win": win, "z": z, "in_shape": xb.shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         win, z = cache["win"], cache["z"]
-        u = upstream.reshape(z.shape) * (z > 0.0)  # ReLU's subgradient is 0 at exactly 0
-        dw = (u.T @ win.reshape(z.shape[0], -1)).reshape(self.weights.shape)
+        u = _split_filters(upstream, self.filters) * (z > 0.0)  # ReLU's subgradient is 0 at 0
+        dw = (u @ win.reshape(self.window.area, -1).T).reshape(self.weights.shape)
         dx = None
         if need_dx:
-            dwin = u @ self.weights.reshape(self.filters, -1)
-            dx = _scatter_windows(dwin.reshape(win.shape), self.window, cache["in_shape"])
+            dwin = (self.weights.reshape(self.filters, -1).T @ u).reshape(win.shape)
+            dx = _overlap_add(dwin.__getitem__, self.window, *win.shape[1:3], cache["in_shape"])
         return [dw], dx
 
 
@@ -410,19 +420,21 @@ class MaxPool:
     def forward(self, xb: np.ndarray):
         first, *rest = _window_slices(xb, self.window)
         out = first.copy()
-        argmax = np.zeros(out.shape, dtype=np.int64)
+        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(self.window.area - 1))
         for k, v in enumerate(rest, 1):
-            np.copyto(argmax, k, where=v > out)  # strict: the first maximum keeps a tie
+            # k where strictly greater, with k increasing: the first maximum keeps a tie
+            np.maximum(argmax, np.multiply(v > out, k, dtype=argmax.dtype), out=argmax)
             np.maximum(out, v, out=out)
         cache = {"argmax": argmax, "in_shape": xb.shape}
-        return out, cache
+        return out.transpose(3, 0, 1, 2), cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         if not need_dx:
             return [], None
-        argmax = np.moveaxis(cache["argmax"], 0, -1)  # samples last, as _overlap_add sums
-        up = np.moveaxis(upstream, 0, -1)
-        dx = _overlap_add(lambda k: np.where(argmax == k, up, 0.0), self.window,
+        argmax, up = cache["argmax"], upstream.transpose(1, 2, 3, 0)
+        # not np.where, ~3x slower here; they differ only on a non-finite upstream
+        term = np.empty_like(up)
+        dx = _overlap_add(lambda k: np.multiply(up, argmax == k, out=term), self.window,
                           *argmax.shape[:2], cache["in_shape"])
         return [], dx
 
@@ -457,7 +469,7 @@ class Dense:
         db = upstream.sum(axis=0)
         dx = None
         if need_dx:
-            dx = (upstream @ self.weights).reshape(cache["in_shape"])
+            dx = (self.weights.T @ upstream.T).T.reshape(cache["in_shape"])  # samples-last
         return [dw, db], dx
 
 

@@ -217,13 +217,13 @@ def load_dataset(path) -> Dataset:
         record = parse(line_no, text)
         label = record.get("label")
         pixels = record.get("pixels")
-        if not isinstance(label, int) or not 0 <= label < len(class_names):
+        if type(label) is not int or not 0 <= label < len(class_names):
             raise DatasetFormatError(f"{path}: line {line_no}: bad label {label!r}")
         if not isinstance(pixels, list) or len(pixels) != GRID * GRID:
             raise DatasetFormatError(f"{path}: line {line_no}: pixels must hold {GRID * GRID} values")
         values = []
         for p in pixels:
-            if not isinstance(p, (int, float)) or not _pixel_in_range(float(p)):
+            if type(p) not in (int, float) or not _pixel_in_range(float(p)):
                 raise DatasetFormatError(
                     f"{path}: line {line_no}: pixel {p!r} outside "
                     f"{list(BACKGROUND_RANGE)} / {list(FOREGROUND_RANGE)}"

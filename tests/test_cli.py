@@ -245,7 +245,7 @@ def test_gradcheck_detects_injected_wrong_shift(monkeypatch, capsys):
 
 
 def test_gradcheck_detects_wrong_input_gradient(monkeypatch, capsys):
-    wrong_shift(monkeypatch, "_scatter_windows")
+    wrong_shift(monkeypatch, "_overlap_add")
     assert main(["gradcheck", "--cases", "5"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "input gradient" in out

@@ -18,8 +18,8 @@ from qconv.layers import (
     WindowSpec,
     _bit_pairs,
     _generator_traces,
+    _overlap_add,
     _pauli_basis,
-    _scatter_windows,
     _windows,
     mse_loss_batch,
     output_shape,
@@ -121,23 +121,23 @@ def test_quantum_conv_rejects_window_past_qubit_limit():
 def test_windows_traversal_order():
     image = np.arange(9, dtype=float).reshape(3, 3, 1)
     win = _windows(image[None], WIN)
-    assert win.shape == (1, 2, 2, 1, 4)
+    assert win.shape == (4, 2, 2, 1, 1)
     patches = oracles.windows(image, WIN)
     assert [(i, j) for i, j, _, _ in patches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    np.testing.assert_array_equal(win.reshape(4, 4), [values for *_, values in patches])
-    np.testing.assert_array_equal(win[0, 0, 0, 0], image[0:2, 0:2, 0].ravel())
+    np.testing.assert_array_equal(win.reshape(4, 4).T, [values for *_, values in patches])
+    np.testing.assert_array_equal(win[:, 0, 0, 0, 0], image[0:2, 0:2, 0].ravel())
 
 
 def test_single_window_covers_input():
     image = np.arange(4, dtype=float).reshape(2, 2, 1)
     win = _windows(image[None], WIN)
-    assert win.shape == (1, 1, 1, 1, 4)
-    np.testing.assert_array_equal(win[0, 0, 0, 0], image[:, :, 0].ravel())
+    assert win.shape == (4, 1, 1, 1, 1)
+    np.testing.assert_array_equal(win[:, 0, 0, 0, 0], image[:, :, 0].ravel())
 
 
 def test_padded_windows_each_hold_the_pixel_once():
     image = np.array([[[5.0]]])
-    win = _windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(-1, 4)
+    win = _windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(4, -1).T
     assert len(win) == 4
     for patch in win:
         assert patch.sum() == 5.0
@@ -149,7 +149,7 @@ def test_windows_hold_one_channel_each():
     win = _windows(image[None], WIN)
     assert [(c, i, j) for i, j, c, _ in oracles.windows(image, WIN)] == [(0, 0, 0), (1, 0, 0)]
     for c in range(2):
-        np.testing.assert_array_equal(win[0, 0, 0, c], image[:, :, c].ravel())
+        np.testing.assert_array_equal(win[:, 0, 0, c, 0], image[:, :, c].ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():
     layer = QuantumConv(WIN, filters=3, depth=2, rng=np.random.default_rng(30))
     x = np.random.default_rng(31).random((6, 3, 3, 2))
     enc = layer.encode(x)
-    assert enc.phi.shape == (81, 6, 2 * 2 * 2) and enc.in_shape == x.shape
+    assert enc.phi.shape == (81, 2 * 2 * 2, 6) and enc.in_shape == x.shape
     for idx in (np.arange(6), np.array([4, 5, 0, 1]), np.array([2])):
         got, cache = layer.forward_encoded(enc[idx])
         want, want_cache = layer.forward(x[idx])
@@ -363,6 +363,36 @@ def test_encoded_is_frozen_and_read_only():
         enc.phi = np.zeros(enc.phi.shape)
 
 
+def test_encoded_rejects_an_index_that_drops_the_sample_axis():
+    layer = QuantumConv(WIN, filters=2, depth=1, rng=np.random.default_rng(39))
+    enc = layer.encode(np.random.default_rng(40).random((4, 3, 3, 1)))
+    for idx in (0, -1, np.int64(2), np.array(1)):
+        with pytest.raises(TypeError, match="slice or an array of samples"):
+            enc[idx]
+    assert enc[[0]].phi.shape == enc[0:1].phi.shape == (81, 4, 1)
+
+
+def benchmark_quantum_convs():
+    """Every QuantumConv of the benchmark networks with the input shape it takes."""
+    one, two = (build_network("qccnn", arch, 5, seed=41).layers for arch in ("one-layer", "two-layer"))
+    return [(one[0], (3, 3, 1)), (two[0], (3, 3, 1)), (two[1], (2, 2, 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.integers(0, 2), samples=st.integers(1, 7), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_encoded_mini_batch_forwards_like_the_raw_rows(which, samples, data, seed):
+    """Unsorted, repeated or sliced sample indices forward bit-for-bit like the raw rows."""
+    layer, in_shape = benchmark_quantum_convs()[which]
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples,) + in_shape)
+    idx = data.draw(st.one_of(
+        st.lists(st.integers(0, samples - 1), min_size=1, max_size=2 * samples).map(np.array),
+        st.slices(samples).filter(lambda sl: len(range(samples)[sl]) > 0)))
+    got, _ = layer.forward_encoded(layer.encode(x)[idx])
+    want, _ = layer.forward(x[idx])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_quantum_conv_keeps_no_state_between_calls():
     net = build_network("qccnn", "two-layer", 5, seed=35)
     x = np.random.default_rng(36).random((3, 3, 3, 1))
@@ -381,7 +411,7 @@ def assert_phi_built_once_per_set(monkeypatch, batch_size: int):
     config = TrainConfig(iterations=20, batch_size=batch_size, eval_every=10, seeds=(0,))
     records = train(net, train_set, test_set, config)
     assert [r.iteration for r in records] == [10, 20]
-    assert calls == [(4 * len(train_set), 4), (4 * len(test_set), 4)]
+    assert calls == [(4, 4 * len(train_set)), (4, 4 * len(test_set))]
 
 
 def test_one_layer_training_builds_phi_once_per_fixed_set(monkeypatch):
@@ -460,15 +490,16 @@ def tiling_geometry(draw):
 @given(geometry=tiling_geometry(), samples=st.integers(1, 3), channels=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_scatter_windows_is_the_adjoint_of_windows(geometry, samples, channels, seed):
-    """<g, windows(x)> == <scatter(g), x>: gather and scatter agree on the window layout."""
+    """<g, windows(x)> == <scatter(g), x>: gather and the overlap-add scatter agree on
+    the window layout."""
     window, v, h = geometry
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((samples, v, h, channels))
     win = _windows(x, window)
     rows, cols, _ = output_shape(x.shape[1:], window)
-    assert win.shape == (samples, rows, cols, channels, window.area)
+    assert win.shape == (window.area, rows, cols, channels, samples)
     g = rng.standard_normal(win.shape)
-    scattered = (_scatter_windows(g, window, x.shape) * x).sum()
+    scattered = (_overlap_add(g.__getitem__, window, rows, cols, x.shape) * x).sum()
     assert (g * win).sum() == pytest.approx(scattered, rel=1e-12, abs=1e-12)
 
 
@@ -714,6 +745,29 @@ def test_network_end_to_end_gradient_minimal_qccnn():
     fd = oracles.central_difference(total_loss, flat)
     net.set_flat_params(flat)
     np.testing.assert_allclose(grads, fd, atol=1e-5)
+
+
+@pytest.mark.parametrize("labels", [2, 5])
+@pytest.mark.parametrize("architecture", ["one-layer", "two-layer"])
+@pytest.mark.parametrize("model", ["qccnn", "cnn"])
+def test_build_network_gradients_match_finite_differences(model, architecture, labels):
+    """`loss_and_gradients` of each benchmark network, on raw and on encoded input,
+    against central differences of its loss at one random point near initialisation."""
+    net = build_network(model, architecture, labels, seed=42)
+    rng = np.random.default_rng(43)
+    flat = net.get_flat_params() + rng.normal(0.0, 0.1, net.get_flat_params().size)
+    images = generate_dataset(12, seed=44).images
+    targets = np.eye(labels)[rng.integers(0, labels, len(images))]
+
+    def loss_at(p, xb):
+        net.set_flat_params(p)
+        return net.loss_and_gradients(xb, targets)[0]
+
+    for xb in (images, net.encode(images)):
+        net.set_flat_params(flat)
+        _, grads, _ = net.loss_and_gradients(xb, targets)
+        fd = oracles.central_difference(lambda p: loss_at(p, xb), flat, h=1e-5)
+        np.testing.assert_allclose(grads, fd, rtol=0.0, atol=1e-6)
 
 
 def test_network_forward_deterministic():

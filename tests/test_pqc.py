@@ -79,12 +79,12 @@ def test_build_rejects_bad_sizes():
 def test_encode_zero_window_is_ground_state():
     ground = np.zeros(8)
     ground[0] = 1.0
-    np.testing.assert_allclose(_trig_features(np.zeros((1, 3)))[:, 0],
+    np.testing.assert_allclose(_trig_features(np.zeros((3, 1)))[:, 0],
                                pauli_coordinates(ground), atol=1e-15)
 
 
 def test_encode_half_pi_gives_all_ones():
-    phi = _trig_features(np.full((1, 2), np.pi / 2))[:, 0]
+    phi = _trig_features(np.full((2, 1), np.pi / 2))[:, 0]
     np.testing.assert_allclose(phi, pauli_coordinates(np.array([0.0, 0.0, 0.0, 1.0])), atol=1e-15)
 
 
@@ -94,7 +94,7 @@ def test_encode_matches_kronecker_oracle():
                                atol=1e-12)
     rng = np.random.default_rng(41)
     for w in (window, *rng.uniform(-np.pi, np.pi, (5, 3))):
-        np.testing.assert_allclose(_trig_features(w[None])[:, 0],
+        np.testing.assert_allclose(_trig_features(w[:, None])[:, 0],
                                    pauli_coordinates(oracles.encode_state(w)), atol=1e-15)
 
 

@@ -301,6 +301,20 @@ def test_load_rejects_bad_label(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("record", [
+    pytest.param('{"label": true, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}', id="label"),
+    pytest.param('{"label": 1, "pixels": [0, 0, 0, 0, true, 0, 0, 0, 0]}', id="pixel"),
+])
+def test_load_rejects_json_booleans(tmp_path, record):
+    # bool is an int in Python, so true would otherwise load as label 1 or pixel 1.0
+    path = tmp_path / "data.jsonl"
+    header = '{"class_names": ["S", "T"], "seed": 0, "split": "full"}'
+    valid = '{"label": 0, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}'
+    path.write_text("\n".join([header, valid, record]) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 3: .*True"):
+        load_dataset(path)
+
+
 def test_saved_filtered_dataset_round_trips(tmp_path):
     dataset = filter_labels(generate_dataset(60, seed=14), ("S", "T"))
     path = tmp_path / "two.jsonl"
