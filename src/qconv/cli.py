@@ -59,44 +59,32 @@ class ConfigError(ValueError):
 
 
 def parse_seeds(value: str) -> tuple[int, ...]:
-    """Either a count ("10" -> seeds 0..9) or an explicit list ("0,3,7")."""
+    """A count ("10" -> seeds 0..9) or a list ("0,3,7"); `TrainConfig` checks the seeds."""
     text = str(value).strip()
     try:
         if "," in text:
-            seeds = tuple(int(part) for part in text.split(",") if part.strip())
-        else:
-            count = int(text)
+            return tuple(int(part) for part in text.split(",") if part.strip())
+        count = int(text)
     except ValueError as exc:
         raise ConfigError(f"seeds: cannot parse {value!r}") from exc
-    if "," not in text:
-        if count < 1:
-            raise ConfigError(f"seeds: need a positive count, got {count}")
-        seeds = tuple(range(count))
-    if not seeds:
-        raise ConfigError(f"seeds: empty seed list from {value!r}")
-    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"seeds: need distinct non-negative seeds, got {value!r}")
-    return seeds
+    if count < 1:
+        raise ConfigError(f"seeds: need a positive count, got {count}")
+    return tuple(range(count))
 
 
 _CHOICES = {"model": MODELS, "architecture": ARCHITECTURES, "labels": LABEL_CHOICES}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Every `train`/`repro` setting and its default.  The field names are
-    the config-file keys; the training fields share `TrainConfig`'s names
-    and defaults.  Construction validates."""
+class ExperimentConfig(TrainConfig):
+    """Every `train`/`repro` setting and its default: `TrainConfig`'s
+    training fields, then these.  The field names are the config-file
+    keys.  Construction validates."""
 
     model: str = "qccnn"
     architecture: str = "one-layer"
     labels: int = 2
     images: int = 1000
-    iterations: int = TrainConfig.iterations
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    eval_every: int = TrainConfig.eval_every
-    seeds: tuple[int, ...] = TrainConfig.seeds
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -106,12 +94,9 @@ class ExperimentConfig:
         if self.images < 2:
             raise ConfigError(f"images: need at least 2, got {self.images}")
         try:
-            self.train_config()  # TrainConfig checks the training fields
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 # Config-file key -> parser of its text: the field default's type, or parse_seeds.
@@ -202,7 +187,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     combination = (config.model, config.architecture, config.labels)
-    result = run_experiments([combination], config.train_config(), config.images)[combination]
+    result = run_experiments([combination], config, config.images)[combination]
     wall = time.perf_counter() - started
     stem = f"{config.model}_{config.architecture}_{config.labels}label"
     csv_path = out_dir / f"metrics_{stem}.csv"
@@ -312,7 +297,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
         print(f"seed {seed} ({index + 1}/{len(config.seeds)}): {len(combinations)} "
               f"combinations, {config.iterations} iterations...")
 
-    results = run_experiments(combinations, config.train_config(), config.images, progress)
+    results = run_experiments(combinations, config, config.images, progress)
 
     written = []
     for panel in panels:

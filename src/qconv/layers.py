@@ -5,14 +5,15 @@ channels); batched variants carry a leading sample axis.  ``forward``
 returns ``(output, cache)`` and ``backward`` consumes that cache.
 Layers keep no state between calls beyond their parameters.
 
-Every window layer reads one strided slice of the zero-padded input per
-window offset, gathered in (offset, rows, cols, channels, samples) order,
-and scatters gradients back from it: with samples innermost, numpy's inner
-loops run over samples, not over 1-6 channels.  Batches pass between
-layers as (samples, rows, cols, channels) views of samples-last memory.
-Convolution layers apply every filter to every input channel
-independently; input channel c under filter f lands on output channel
-``c * filters + f`` (`_merge_filters`), giving ``d * k`` channels.
+Windows step one cell at a time.  Every window layer reads one slice of
+the zero-padded input per window offset, gathered in (offset, rows,
+cols, channels, samples) order, and scatters gradients back from it:
+with samples innermost, numpy's inner loops run over samples, not over
+1-6 channels.  Batches pass between layers as (samples, rows, cols,
+channels) views of samples-last memory.  Convolution layers apply every
+filter to every input channel independently; input channel c under
+filter f lands on output channel ``c * filters + f`` (`_merge_filters`),
+giving ``d * k`` channels.
 
 `QuantumConv`'s circuit has one qubit per window value, row-major, and
 depth D is D blocks of
@@ -48,7 +49,7 @@ encoded once (`QuantumConv.encode`, `Network.encode`) and the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -59,18 +60,16 @@ MAX_WINDOW_QUBITS = 6
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Sliding-window geometry: size, stride, and zero padding per edge."""
+    """Sliding-window geometry: size and zero padding per edge; windows step one cell."""
 
     height: int
     width: int
-    stride: int = 1
+    _: KW_ONLY
     padding: int = 0
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError(f"window size must be >= 1, got {self.height}x{self.width}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
         if self.padding < 0:
             raise ValueError(f"padding must be >= 0, got {self.padding}")
 
@@ -80,27 +79,21 @@ class WindowSpec:
 
 
 def output_shape(input_shape, window: WindowSpec, filters: int = 1) -> tuple[int, int, int]:
-    """Output (rows, cols, channels) of a window pass; rejects non-tiling strides."""
+    """Output (rows, cols, channels) of a window pass."""
     v, h, d = input_shape
     if filters < 1:
         raise ValueError(f"filters must be >= 1, got {filters}")
-    rows_span = v + 2 * window.padding - window.height
-    cols_span = h + 2 * window.padding - window.width
-    if rows_span < 0 or cols_span < 0:
+    rows = v + 2 * window.padding - window.height + 1
+    cols = h + 2 * window.padding - window.width + 1
+    if rows < 1 or cols < 1:
         raise ValueError(f"window {window.height}x{window.width} larger than padded input {input_shape}")
-    if rows_span % window.stride or cols_span % window.stride:
-        raise ValueError(
-            f"stride {window.stride} does not tile input {input_shape} "
-            f"with window {window.height}x{window.width}, padding {window.padding}"
-        )
-    return (rows_span // window.stride + 1, cols_span // window.stride + 1, d * filters)
+    return (rows, cols, d * filters)
 
 
 def _window_offsets(window: WindowSpec, rows: int, cols: int) -> list[tuple[slice, slice]]:
     """Padded-input row and column slices under each window offset, row-major."""
-    m, n, s = window.height, window.width, window.stride
-    return [(slice(a, a + s * (rows - 1) + 1, s), slice(b, b + s * (cols - 1) + 1, s))
-            for a in range(m) for b in range(n)]
+    return [(slice(a, a + rows), slice(b, b + cols))
+            for a in range(window.height) for b in range(window.width)]
 
 
 def _window_slices(xb: np.ndarray, window: WindowSpec) -> list[np.ndarray]:
@@ -124,7 +117,7 @@ def _windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
 def _overlap_add(term, window: WindowSpec, rows: int, cols: int, input_shape) -> np.ndarray:
     """Sum ``term(k)``, window offset k's (rows, cols, d, S) terms, onto the input: (S, v, h, d).
 
-    One strided add per window offset, taken in reverse, so that every
+    One add per window offset, taken in reverse, so that every
     input cell sums its terms in the output cells' row-major order.
     `MaxPool` builds each offset's terms as they are added: stacking them
     first took one more large allocation per call.
@@ -236,7 +229,7 @@ def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray
     pairs = _bit_pairs(n_qubits)
     zp, mp = z[..., pairs], m[..., pairs]  # (F, dim, n, 2, dim / 2)
     terms = zp[..., 1, :] * mp[..., 0, :] - zp[..., 0, :] * mp[..., 1, :]
-    return np.moveaxis(terms, 2, 1).reshape(z.shape[0], n_qubits, -1).sum(axis=2)
+    return terms.transpose(0, 2, 1, 3).reshape(z.shape[0], n_qubits, -1).sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -400,8 +393,8 @@ class ClassicalConv:
 class MaxPool:
     """Per-channel max over each window; zero padding competes in the max.
 
-    The pool visits the m*n window offsets, each one strided slice of
-    the padded input.  Ties go to the first row-major position in the
+    The pool visits the m*n window offsets, each one slice of the
+    padded input.  Ties go to the first row-major position in the
     window, which alone receives the gradient; a NaN in a window makes
     that output NaN.  Backward takes the offsets in reverse, so every
     input cell sums its terms in the output cells' row-major order.

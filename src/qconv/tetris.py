@@ -207,8 +207,14 @@ def load_dataset(path) -> Dataset:
 
     header = parse(1, lines[0])
     names = header.get("class_names")
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names) or not names:
-        raise DatasetFormatError(f"{path}: line 1: header needs a class_names list")
+    if (not isinstance(names, list) or not all(isinstance(x, str) for x in names) or not names
+            or len(set(names)) != len(names)):
+        raise DatasetFormatError(f"{path}: line 1: header needs a class_names list of distinct names")
+    seed, split_tag = header.get("seed", 0), header.get("split", "full")
+    if type(seed) is not int:
+        raise DatasetFormatError(f"{path}: line 1: seed must be an integer, got {seed!r}")
+    if not isinstance(split_tag, str):
+        raise DatasetFormatError(f"{path}: line 1: split must be a string, got {split_tag!r}")
     class_names = tuple(names)
     labels, images = [], []
     for line_no, text in enumerate(lines[1:], start=2):
@@ -232,5 +238,4 @@ def load_dataset(path) -> Dataset:
         labels.append(label)
         images.append(values)
     images = np.array(images, dtype=np.float64).reshape(-1, GRID, GRID, 1)
-    return Dataset(images, np.array(labels, dtype=np.int64), class_names,
-                   header.get("split", "full"), header.get("seed", 0))
+    return Dataset(images, np.array(labels, dtype=np.int64), class_names, split_tag, seed)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import ClassicalConv, Dense, MaxPool, Network, QuantumConv, WindowSpec
-from .tetris import Dataset, filter_labels, generate_dataset, split
+from .layers import ClassicalConv, Dense, MaxPool, Network, QuantumConv, WindowSpec, mse_loss_batch
+from .tetris import GRID, Dataset, filter_labels, generate_dataset, split
 
-INPUT_SHAPE = (3, 3, 1)
+INPUT_SHAPE = (GRID, GRID, 1)
 QUANTUM_DEPTH = 4
-CONV_WINDOW = WindowSpec(2, 2, stride=1, padding=0)
+CONV_WINDOW = WindowSpec(2, 2)
 
 MODELS = ("qccnn", "cnn")
 ARCHITECTURES = ("one-layer", "two-layer")
@@ -31,20 +31,22 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the loss stops being finite."""
 
 
+# ADAM's decay rates and epsilon, as Kingma & Ba recommend (arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def init_adam(n_params: int, lr: float = 0.01, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros(n_params), np.zeros(n_params), 0, lr, beta1, beta2, eps)
+def init_adam(n_params: int, lr: float = 0.01) -> AdamState:
+    return AdamState(np.zeros(n_params), np.zeros(n_params), 0, lr)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
@@ -56,12 +58,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
             f"shape mismatch: params {p.shape}, grads {g.shape}, state {state.m.shape}"
         )
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(m, v, t, state.lr)
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,9 @@ class TrainConfig:
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise ValueError("seeds must not be empty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct and non-negative, got {self.seeds}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def evaluate(net: Network, inputs, labels: np.ndarray, onehot: np.ndarray):
         raise ValueError("cannot evaluate on an empty dataset")
     pred, _ = net.forward_batch(inputs)
     correct = int(np.sum(pred.argmax(axis=1) == labels))
-    return correct / labels.size, float(np.mean((pred - onehot) ** 2))
+    return correct / labels.size, mse_loss_batch(pred, onehot)[0]
 
 
 def train(net: Network, train_set: Dataset, test_set: Dataset,
@@ -168,7 +172,7 @@ def build_network(model: str, architecture: str, n_classes: int, seed: int) -> N
     one-layer: conv(2x2, 5 filters) -> pool(2x2) -> dense
     two-layer: conv(2x2, 2 filters) -> conv(2x2, 3 filters)
                -> pool(2x2, padding 1) -> dense
-    All strides are 1; quantum circuits use 4 qubits at depth 4.
+    Windows step one cell at a time; quantum circuits use 4 qubits at depth 4.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -184,9 +188,9 @@ def build_network(model: str, architecture: str, n_classes: int, seed: int) -> N
         return ClassicalConv(CONV_WINDOW, filters, rng)
 
     if architecture == "one-layer":
-        layers = [conv(5), MaxPool(WindowSpec(2, 2, stride=1, padding=0))]
+        layers = [conv(5), MaxPool(WindowSpec(2, 2))]
     else:
-        layers = [conv(2), conv(3), MaxPool(WindowSpec(2, 2, stride=1, padding=1))]
+        layers = [conv(2), conv(3), MaxPool(WindowSpec(2, 2, padding=1))]
     shape = INPUT_SHAPE
     for layer in layers:
         shape = layer.out_shape(shape)

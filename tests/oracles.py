@@ -110,28 +110,27 @@ def windows(image: np.ndarray, window) -> list:
     Channel by channel, then row by row, left to right; ``values`` is the
     zero-padded patch flattened row-major, qubit 0 first.
     """
-    p, s = window.padding, window.stride
+    p = window.padding
     if p:
         image = np.pad(image, ((p, p), (p, p), (0, 0)))
     v, h, d = image.shape
     out = []
     for c in range(d):
-        for i in range((v - window.height) // s + 1):
-            for j in range((h - window.width) // s + 1):
-                patch = image[i * s : i * s + window.height, j * s : j * s + window.width, c]
+        for i in range(v - window.height + 1):
+            for j in range(h - window.width + 1):
+                patch = image[i : i + window.height, j : j + window.width, c]
                 out.append((i, j, c, patch.ravel()))
     return out
 
 
-def naive_conv(image: np.ndarray, weights: np.ndarray, stride: int = 1,
-               padding: int = 0) -> np.ndarray:
+def naive_conv(image: np.ndarray, weights: np.ndarray, padding: int = 0) -> np.ndarray:
     """Triple-loop single-image convolution, per-channel independent filters, then ReLU."""
     v, h, d = image.shape
     k, m, n = weights.shape
     if padding:
         image = np.pad(image, ((padding, padding), (padding, padding), (0, 0)))
-    rows = (v + 2 * padding - m) // stride + 1
-    cols = (h + 2 * padding - n) // stride + 1
+    rows = v + 2 * padding - m + 1
+    cols = h + 2 * padding - n + 1
     out = np.zeros((rows, cols, d * k))
     for c in range(d):
         for f in range(k):
@@ -140,24 +139,24 @@ def naive_conv(image: np.ndarray, weights: np.ndarray, stride: int = 1,
                     acc = 0.0
                     for a in range(m):
                         for b in range(n):
-                            acc += image[i * stride + a, j * stride + b, c] * weights[f, a, b]
+                            acc += image[i + a, j + b, c] * weights[f, a, b]
                     out[i, j, c * k + f] = max(acc, 0.0)
     return out
 
 
 def naive_max_pool(image: np.ndarray, window) -> np.ndarray:
     """Loop max pooling with zero padding included in each window."""
-    p, s, m, n = window.padding, window.stride, window.height, window.width
+    p, m, n = window.padding, window.height, window.width
     v, h, d = image.shape
     if p:
         image = np.pad(image, ((p, p), (p, p), (0, 0)))
-    rows = (v + 2 * p - m) // s + 1
-    cols = (h + 2 * p - n) // s + 1
+    rows = v + 2 * p - m + 1
+    cols = h + 2 * p - n + 1
     out = np.zeros((rows, cols, d))
     for c in range(d):
         for i in range(rows):
             for j in range(cols):
-                out[i, j, c] = image[i * s : i * s + m, j * s : j * s + n, c].max()
+                out[i, j, c] = image[i : i + m, j : j + n, c].max()
     return out
 
 
@@ -175,7 +174,7 @@ def naive_max_pool_grad(image: np.ndarray, window, upstream: np.ndarray) -> np.n
     """Input gradient of max pooling: each output cell's upstream value goes to
     its window's first row-major maximum, cells taken in row-major order;
     what lands in the zero padding is dropped."""
-    p, s, m, n = window.padding, window.stride, window.height, window.width
+    p, m, n = window.padding, window.height, window.width
     v, h, d = image.shape
     padded = np.pad(image, ((p, p), (p, p), (0, 0)))
     grad = np.zeros(padded.shape)
@@ -183,8 +182,8 @@ def naive_max_pool_grad(image: np.ndarray, window, upstream: np.ndarray) -> np.n
     for c in range(d):
         for i in range(rows):
             for j in range(cols):
-                a, b = _first_max(padded[i * s : i * s + m, j * s : j * s + n, c])
-                grad[i * s + a, j * s + b, c] += upstream[i, j, c]
+                a, b = _first_max(padded[i : i + m, j : j + n, c])
+                grad[i + a, j + b, c] += upstream[i, j, c]
     return grad[p : p + v, p : p + h]
 
 

@@ -7,7 +7,7 @@ import types
 import pytest
 
 import qconv
-from qconv import tetris, training
+from qconv import cli, tetris, training
 
 
 def test_every_public_name_imports():
@@ -38,3 +38,11 @@ def test_removed_names_are_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("qconv.pqc")
     assert not {"CircuitSpec", "build_circuit"} & set(qconv.__all__)
+    # windows step one cell at a time, ADAM's betas and epsilon are constants,
+    # and ExperimentConfig takes its training fields from TrainConfig
+    assert "stride" not in {f.name for f in dataclasses.fields(qconv.WindowSpec)}
+    with pytest.raises(TypeError):
+        qconv.WindowSpec(2, 2, 1)
+    assert [f.name for f in dataclasses.fields(qconv.AdamState)] == ["m", "v", "t", "lr"]
+    assert issubclass(cli.ExperimentConfig, qconv.TrainConfig)
+    assert not hasattr(cli.ExperimentConfig, "train_config")

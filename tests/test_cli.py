@@ -133,15 +133,15 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 # Every ExperimentConfig field: its config-file text and the matching train flag.
 NON_DEFAULT_SETTINGS = {
-    "model": ("cnn", "--model"),
-    "architecture": ("two-layer", "--arch"),
-    "labels": ("5", "--labels"),
-    "images": ("40", "--images"),
     "iterations": ("7", "--iterations"),
     "learning_rate": ("0.05", "--lr"),
     "batch_size": ("8", "--batch-size"),
     "eval_every": ("3", "--eval-every"),
     "seeds": ("2,5", "--seeds"),
+    "model": ("cnn", "--model"),
+    "architecture": ("two-layer", "--arch"),
+    "labels": ("5", "--labels"),
+    "images": ("40", "--images"),
     "out_dir": ("elsewhere", "--out-dir"),
 }
 
@@ -160,7 +160,12 @@ def test_config_file_and_flags_resolve_every_setting_alike(tmp_path):
 
 
 def test_experiment_defaults_are_the_training_defaults():
-    assert ExperimentConfig().train_config() == TrainConfig()
+    # the training fields, their defaults and their checks are TrainConfig's own
+    assert issubclass(ExperimentConfig, TrainConfig)
+    training = dataclasses.fields(TrainConfig)
+    assert dataclasses.fields(ExperimentConfig)[: len(training)] == training
+    defaults = ExperimentConfig()
+    assert {f.name: getattr(defaults, f.name) for f in training} == dataclasses.asdict(TrainConfig())
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):

@@ -71,12 +71,7 @@ def test_second_conv_shape_multiplies_channels():
 
 
 def test_padded_pool_shape():
-    assert output_shape((1, 1, 6), WindowSpec(2, 2, 1, padding=1)) == (2, 2, 6)
-
-
-def test_non_tiling_stride_rejected():
-    with pytest.raises(ValueError):
-        output_shape((3, 3, 1), WindowSpec(2, 2, stride=2), filters=1)
+    assert output_shape((1, 1, 6), WindowSpec(2, 2, padding=1)) == (2, 2, 6)
 
 
 def test_window_larger_than_input_rejected():
@@ -88,18 +83,11 @@ def test_window_spec_validation():
     with pytest.raises(ValueError):
         WindowSpec(0, 2)
     with pytest.raises(ValueError):
-        WindowSpec(2, 2, stride=0)
-    with pytest.raises(ValueError):
         WindowSpec(2, 2, padding=-1)
 
 
 def test_conv_forwards_reject_bad_geometry():
     rng = np.random.default_rng(9)
-    strided = WindowSpec(2, 2, stride=2)
-    for layer in (QuantumConv(strided, filters=1, depth=1, rng=rng),
-                  ClassicalConv(strided, filters=1, rng=rng)):
-        with pytest.raises(ValueError, match="does not tile"):
-            layer.forward(np.zeros((1, 3, 3, 1)))
     for layer in (QuantumConv(WIN, filters=1, depth=1, rng=rng),
                   ClassicalConv(WIN, filters=1, rng=rng)):
         with pytest.raises(ValueError, match="larger than padded input"):
@@ -137,7 +125,7 @@ def test_single_window_covers_input():
 
 def test_padded_windows_each_hold_the_pixel_once():
     image = np.array([[[5.0]]])
-    win = _windows(image[None], WindowSpec(2, 2, 1, padding=1)).reshape(4, -1).T
+    win = _windows(image[None], WindowSpec(2, 2, padding=1)).reshape(4, -1).T
     assert len(win) == 4
     for patch in win:
         assert patch.sum() == 5.0
@@ -477,13 +465,12 @@ def test_classical_conv_backward_matches_finite_differences():
 
 @st.composite
 def tiling_geometry(draw):
-    """A window of 1..3 x 1..3, stride 1..2, padding 0..1, and an input (v, h) it tiles."""
-    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
-    v = (draw(st.integers(1, 3)) - 1) * stride + m - 2 * padding
-    h = (draw(st.integers(1, 3)) - 1) * stride + n - 2 * padding
+    """A window of 1..3 x 1..3, padding 0..1, and an input (v, h) with 1..3 output rows and columns."""
+    m, n, padding = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    v = draw(st.integers(1, 3)) - 1 + m - 2 * padding
+    h = draw(st.integers(1, 3)) - 1 + n - 2 * padding
     assume(v >= 1 and h >= 1)
-    return WindowSpec(m, n, stride, padding), v, h
+    return WindowSpec(m, n, padding=padding), v, h
 
 
 @settings(max_examples=60, deadline=None)
@@ -513,7 +500,7 @@ def test_classical_conv_matches_oracles_on_any_geometry(geometry, samples, chann
     layer = ClassicalConv(window, filters, np.random.default_rng(seed))
     out, _ = layer.forward(x)
     for s in range(samples):
-        want = oracles.naive_conv(x[s], layer.weights, window.stride, window.padding)
+        want = oracles.naive_conv(x[s], layer.weights, window.padding)
         np.testing.assert_allclose(out[s], want, atol=1e-12)
     # gradients away from ReLU's kink: positive weights on positive inputs leave only
     # all-padding windows at 0, and those stay 0 whatever the weights and inputs
@@ -558,7 +545,7 @@ def test_pool_tie_routes_gradient_to_first_position():
 
 
 def test_padded_pool_of_negative_values_selects_padding():
-    pool = MaxPool(WindowSpec(2, 2, 1, padding=1))
+    pool = MaxPool(WindowSpec(2, 2, padding=1))
     x = np.full((1, 1, 1, 6), -0.5)
     out, cache = pool.forward(x)
     assert out.shape == (1, 2, 2, 6)
@@ -571,7 +558,7 @@ def test_padded_pool_of_negative_values_selects_padding():
 
 def test_pool_matches_loop_oracle_and_routes_gradients():
     rng = np.random.default_rng(14)
-    pool = MaxPool(WindowSpec(2, 2, 1, padding=1))
+    pool = MaxPool(WindowSpec(2, 2, padding=1))
     x = rng.standard_normal((3, 2, 2, 4))
     out, cache = pool.forward(x)
     for s in range(3):

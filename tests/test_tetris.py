@@ -315,6 +315,22 @@ def test_load_rejects_json_booleans(tmp_path, record):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    pytest.param('"class_names": ["S", "T"], "seed": "abc", "split": "full"', "seed", id="seed-string"),
+    pytest.param('"class_names": ["S", "T"], "seed": true, "split": "full"', "seed", id="seed-bool"),
+    pytest.param('"class_names": ["S", "T"], "seed": 0, "split": ["x"]', "split", id="split-list"),
+    pytest.param('"class_names": ["S", "T"], "seed": 0, "split": 5', "split", id="split-int"),
+    pytest.param('"class_names": ["S", "S"], "seed": 0, "split": "full"', "distinct", id="names-repeat"),
+])
+def test_load_rejects_bad_header_fields(tmp_path, header, message):
+    # each would load, and save_dataset would write it back out
+    path = tmp_path / "data.jsonl"
+    record = '{"label": 1, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}'
+    path.write_text("{" + header + "}\n" + record + "\n")
+    with pytest.raises(DatasetFormatError, match=f"line 1: .*{message}"):
+        load_dataset(path)
+
+
 def test_saved_filtered_dataset_round_trips(tmp_path):
     dataset = filter_labels(generate_dataset(60, seed=14), ("S", "T"))
     path = tmp_path / "two.jsonl"

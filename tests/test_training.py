@@ -302,3 +302,11 @@ def test_train_config_validation():
         TrainConfig(batch_size=-1)
     with pytest.raises(ValueError):
         TrainConfig(seeds=())
+
+
+@pytest.mark.parametrize("seeds", [(0, -1), (3, 3)], ids=["negative", "duplicate"])
+def test_train_config_rejects_bad_seeds(seeds):
+    # a negative seed would fail in SeedSequence after the seeds before it had
+    # trained; a repeated one would train twice and count twice in the mean
+    with pytest.raises(ValueError, match="seeds"):
+        TrainConfig(seeds=seeds)
