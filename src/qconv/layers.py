@@ -37,8 +37,11 @@ arXiv:2408.12739).
 product-state encoding, each filter's output is exactly a trigonometric
 polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
 the layer computes the circuit-dependent coefficients once per call and
-evaluates every window with one matrix product.  It is the package's
-only circuit evaluator; the tests check it against dense-matrix
+evaluates every window with one matrix product.  phi, the parity, the
+Pauli basis and the Ry layers are each one tensor product over qubits
+(`_products`); both gradients use one Ry derivative, d/dt turning a
+qubit's (cos t, sin t) into (-sin t, cos t) (`_rotation_grad`).  This is
+the only circuit evaluator; the tests check it against dense-matrix
 oracles, and ``qconv gradcheck`` checks its gradients against finite
 differences.  phi depends only on the input, so a fixed set is
 encoded once (`QuantumConv.encode`, `Network.encode`) and the
@@ -145,91 +148,83 @@ def _split_filters(upstream: np.ndarray, filters: int) -> np.ndarray:
 # I, Z and X.  An encoded qubit's density is (I + cos 2t Z + sin 2t X) / 2,
 # which fixes the (1, cos 2t, sin 2t) order of the features.
 _PAULI_IZX = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+# I and Ry's generator: Ry(t) = cos t I + sin t G, which fixes the (cos t, sin t) order.
+_RY_IG = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]])
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the trailing matrices, broadcast over leading axes."""
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+def _products(factors: np.ndarray) -> np.ndarray:
+    """Every product of one factor per qubit, qubit 0 leftmost: (n, k, ...) -> (k**n, ...)."""
+    k, rest = factors.shape[1], factors.shape[2:]
+    out = np.ones((1,) + rest)
+    for factor in factors:
+        out = (out[:, None] * factor).reshape((out.shape[0] * k,) + rest)
+    return out
+
+
+def _rotation_grad(v: np.ndarray, p: np.ndarray, k: int, n: int) -> np.ndarray:
+    """``sum_j v_j dp_j/dt_q`` for each qubit q, where p (k**n, ...) is `_products` of factors
+    whose last two of k slots are (cos t_q, sin t_q), which d/dt_q turns into (-sin, cos)."""
+    rest = int(np.prod(p.shape[1:]))
+    grad = np.empty((n, rest))
+    for q in range(n):
+        vq, pq = (a.reshape(k**q, k, k ** (n - 1 - q), rest) for a in (v, p))
+        grad[q] = (np.einsum("ajw,ajw->w", vq[:, k - 1], pq[:, k - 2])
+                   - np.einsum("ajw,ajw->w", vq[:, k - 2], pq[:, k - 1]))
+    return grad.reshape((n,) + p.shape[1:])
+
+
+def _operator_products(single: np.ndarray, n: int) -> np.ndarray:
+    """Every Kronecker product of one of k 2x2 matrices per qubit: (k, 2, 2) -> (k**n, 2**n, 2**n),
+    `_products` of each qubit's entries laid over its (row bit, column bit) pairs."""
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1  # (n, 2**n)
+    entries = single[:, bits[:, :, None], bits[:, None, :]]  # (k, n, 2**n, 2**n)
+    return _products(np.ascontiguousarray(entries.swapaxes(0, 1)))
 
 
 @functools.lru_cache(maxsize=None)
 def _pauli_basis(n_qubits: int) -> np.ndarray:
     """Every P in {I, Z, X}^n as rows of a read-only (3**n, 4**n) array, qubit 0 leftmost."""
-    basis = np.ones((1, 1, 1))
-    for _ in range(n_qubits):
-        basis = _kron(basis[:, None], _PAULI_IZX)  # (3**q, 3, 2**(q+1), 2**(q+1))
-        basis = basis.reshape((-1,) + basis.shape[-2:])
-    basis = basis.reshape(basis.shape[0], -1)
+    basis = _operator_products(_PAULI_IZX, n_qubits).reshape(3**n_qubits, 4**n_qubits)
+    basis.flags.writeable = False
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_basis(n_qubits: int) -> np.ndarray:
+    """The CNOT ladder times every product in {I, G}^n: read-only (2**n, 2**n, 2**n)."""
+    basis = np.ascontiguousarray(_operator_products(_RY_IG, n_qubits)[:, _ladder_permutation(n_qubits)])
     basis.flags.writeable = False
     return basis
 
 
 def _trig_features(t: np.ndarray) -> np.ndarray:
     """phi(x) = (x)_q (1, cos 2t_q, sin 2t_q), qubit 0 leftmost: (n, W) -> (3**n, W)."""
-    windows = t.shape[1]
-    cos, sin = np.cos(2.0 * t), np.sin(2.0 * t)
-    phi = np.ones((1, windows))
-    for q in range(t.shape[0]):
-        factor = np.stack((np.ones(windows), cos[q], sin[q]))
-        phi = (phi[:, None, :] * factor[None]).reshape(-1, windows)
-    return phi
+    return _products(np.stack((np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)), axis=1))
 
 
 def _parity_signs(n: int) -> np.ndarray:
     """(-1)**popcount(index) for every basis index: the diagonal of Z on every qubit."""
-    idx = np.arange(2**n)
-    ones = sum((idx >> q) & 1 for q in range(n))
-    return 1.0 - 2.0 * (ones % 2)
+    return _products(np.tile([1.0, -1.0], (n, 1)))
 
 
 def _ladder_permutation(n: int) -> np.ndarray:
     """Basis-index permutation of one CNOT ladder L: ``(L v)[i] = v[perm[i]]``."""
-    idx = np.arange(2**n)
-    perm = idx
+    perm = idx = np.arange(2**n)
     for i in range(n - 1):
         # each CNOT is its own inverse, flipping bit i+1 where bit i is set
         perm = perm[idx ^ (((idx >> (n - 1 - i)) & 1) << (n - 2 - i))]
     return perm
 
 
+def _ry_products(angles: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Products of one (cos t_q, sin t_q) per qubit: (filters, n*depth) -> (2**n, depth, filters)."""
+    t = angles.T.reshape(-1, n_qubits, angles.shape[0]).swapaxes(0, 1)  # (n, depth, filters)
+    return _products(np.stack((np.cos(t), np.sin(t)), axis=1))
+
+
 def _block_gates(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     """Ladder times Ry layer for every block and filter: (depth, filters, dim, dim)."""
-    n = n_qubits
-    t = angles.reshape(angles.shape[0], angles.shape[1] // n, n).transpose(1, 0, 2)
-    c, s = np.cos(t), np.sin(t)
-    ry = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
-    gates = ry[..., 0, :, :]
-    for q in range(1, n):
-        gates = _kron(gates, ry[..., q, :, :])
-    return gates[..., _ladder_permutation(n), :]
-
-
-@functools.lru_cache(maxsize=None)
-def _bit_pairs(n_qubits: int) -> np.ndarray:
-    """Read-only (n, 2, 2**(n-1)) table: for each qubit q, the basis indices
-    with q's bit clear, then the same indices with it set (qubit 0 leftmost)."""
-    j = np.arange(2**n_qubits)
-    bits = 2 ** np.arange(n_qubits - 1, -1, -1)
-    clear = np.stack([j[(j & b) == 0] for b in bits])
-    table = np.stack((clear, clear + bits[:, None]), axis=1)
-    table.flags.writeable = False
-    return table
-
-
-def _generator_traces(z: np.ndarray, m: np.ndarray, n_qubits: int) -> np.ndarray:
-    """``Tr(z A_q m)`` for symmetric z, m and each qubit q: (F, dim, dim) -> (F, n).
-
-    A_q is the Ry generator on qubit q, which equals Ry(pi/2) there:
-    it maps that qubit's amplitudes (a0, a1) to (-a1, a0).  Each qubit's
-    products are summed as one contiguous run, rows outer, which fixes
-    the rounding of the result.
-    """
-    pairs = _bit_pairs(n_qubits)
-    zp, mp = z[..., pairs], m[..., pairs]  # (F, dim, n, 2, dim / 2)
-    terms = zp[..., 1, :] * mp[..., 0, :] - zp[..., 0, :] * mp[..., 1, :]
-    return terms.transpose(0, 2, 1, 3).reshape(z.shape[0], n_qubits, -1).sum(axis=2)
+    return np.tensordot(_ry_products(angles, n_qubits), _gate_basis(n_qubits), axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -265,13 +260,14 @@ class QuantumConv:
     observable pulled back through the circuit.
 
     Forward is one ``C @ Phi`` product over all windows.  The input
-    gradient differentiates phi factor by factor.  The angle gradient
-    is taken in adjoint order: the upstream gradient is contracted with
-    phi first, lifted to one matrix per filter, and carried forward
-    through the circuit blocks once, meeting the parity observable
-    pulled back to each block.  Both gradients satisfy the quarter-turn
-    shift rule ``df/dt = f(t + pi/4) - f(t - pi/4)`` exactly, which the
-    tests check.  ``forward(x)`` is ``forward_encoded(encode(x))``.
+    gradient differentiates phi's cos/sin factors.  The angle gradient
+    is taken in adjoint order: the upstream gradient, contracted with
+    phi and lifted to one matrix per filter, is carried forward through
+    the blocks once; at each block it and the pulled-back parity
+    observable weight the Ry layer's cos/sin products.  Both gradients
+    satisfy the quarter-turn shift rule ``df/dt = f(t + pi/4) -
+    f(t - pi/4)`` exactly, which the tests check.  ``forward(x)`` is
+    ``forward_encoded(encode(x))``.
     """
 
     def __init__(self, window: WindowSpec, filters: int, depth: int, rng: np.random.Generator):
@@ -312,15 +308,13 @@ class QuantumConv:
         observables = np.empty((self.depth, self.filters, 2**n, 2**n))
         obs = np.broadcast_to(np.diag(_parity_signs(n)), (self.filters, 2**n, 2**n))
         for block in range(self.depth - 1, -1, -1):
-            g = gates[block]
-            obs = observables[block] = np.swapaxes(g, -1, -2) @ obs @ g
-        basis = _pauli_basis(n)
-        coeffs = obs.reshape(self.filters, -1) @ basis.T / 2**n  # Tr(O P) = sum(O * P), P = P^T
+            obs = observables[block] = np.swapaxes(gates[block], -1, -2) @ obs @ gates[block]
+        coeffs = obs.reshape(self.filters, -1) @ _pauli_basis(n).T / 2**n  # sum(O * P) = Tr(O P)
         phi = enc.phi.reshape(3**n, -1)
         rows, cols, _ = self.out_shape(enc.in_shape[1:])
         out = _merge_filters((coeffs @ phi).reshape(self.filters, rows, cols, -1, enc.in_shape[0]))
-        cache = {"phi": phi, "coeffs": coeffs, "basis": basis, "gates": gates,
-                 "observables": observables, "in_shape": enc.in_shape}
+        cache = {"phi": phi, "coeffs": coeffs, "gates": gates, "observables": observables,
+                 "in_shape": enc.in_shape}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
@@ -328,25 +322,20 @@ class QuantumConv:
         n = self.window.area
         u = _split_filters(upstream, self.filters)
 
-        # d/dtheta sum_w u_fw f_f(x_w) = 2**(1-n) Tr(Z_b A_q M_b), with M the
-        # upstream-weighted encoded densities carried forward to block b
-        dangles = np.empty((self.filters, self.depth, n))
-        m = (u @ phi.T @ cache["basis"]).reshape(self.filters, 2**n, 2**n)
+        # sum_w u_fw f_f(x_w) = 2**-n Tr(O_b M_b), M_b the upstream-weighted encoded densities
+        # carried to block b; its derivative in g_b is 2**(1-n) g_b O_b M_b, per {I, G}^n product
+        weights = np.empty((2**n, self.depth, self.filters))
+        m = (u @ phi.T @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
+        gate_basis = _gate_basis(n).reshape(2**n, 4**n)
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
-            dangles[:, block] = _generator_traces(z, m, n)
+            weights[:, block] = gate_basis @ (g @ z @ m).reshape(self.filters, 4**n).T
             m = g @ m @ np.swapaxes(g, -1, -2)
-        dangles = dangles.reshape(self.angles.shape) / 2 ** (n - 1)
+        dangles = _rotation_grad(weights / 2 ** (n - 1), _ry_products(self.angles, n), 2, n)
+        dangles = dangles.transpose(2, 1, 0).reshape(self.angles.shape)
 
         dx = None
         if need_dx:
-            # d phi / d t_q maps qubit q's factor (1, c, s) to (0, -2s, 2c)
-            v = coeffs.T @ u
-            dwin = np.empty((n, phi.shape[1]))
-            for q in range(n):
-                vq = v.reshape(3**q, 3, -1, phi.shape[1])
-                pq = phi.reshape(vq.shape)
-                dwin[q] = 2.0 * (np.einsum("ajw,ajw->w", vq[:, 2], pq[:, 1])
-                                 - np.einsum("ajw,ajw->w", vq[:, 1], pq[:, 2]))
+            dwin = 2.0 * _rotation_grad(coeffs.T @ u, phi, 3, n)  # d(2t)/dt = 2
             dwin = dwin.reshape((n,) + upstream.shape[1:3] + (-1, upstream.shape[0]))
             dx = _overlap_add(dwin.__getitem__, self.window, *upstream.shape[1:3], cache["in_shape"])
         return [dangles], dx

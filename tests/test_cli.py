@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,17 @@ def test_config_file_bad_value_names_key(tmp_path, capsys):
     assert "iterations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_learning_rate_is_config_error(tmp_path, capsys, rate):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"learning_rate = {rate}\n")
+    for args in (["--lr", rate], ["--config", str(cfg)]):
+        assert main(["train", *args, "--out-dir", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "learning_rate" in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_unknown_flag_is_config_error(capsys):
     assert main(["train", "--warp-speed", "9"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -243,7 +258,10 @@ def wrong_shift(monkeypatch, name):
 
 
 def test_gradcheck_detects_injected_wrong_shift(monkeypatch, capsys):
-    wrong_shift(monkeypatch, "_generator_traces")
+    # scale only the angle path's Ry derivative (two slots, cos and sin), not the input path's
+    original = layers._rotation_grad
+    monkeypatch.setattr(layers, "_rotation_grad",
+                        lambda v, p, k, n: (np.sin(2.0) if k == 2 else 1.0) * original(v, p, k, n))
     assert main(["gradcheck", "--cases", "5"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "parameter gradient" in out
@@ -335,3 +353,19 @@ def test_repro_identical_configs_are_byte_identical(tmp_path):
     a = (out_a / "panel_c_loss_2label.csv").read_bytes()
     b = (out_b / "panel_c_loss_2label.csv").read_bytes()
     assert a == b
+
+
+def test_repro_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # each run is its own process: OpenBLAS reads its thread count once, at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    flags = ["--images", "300", "--iterations", "20", "--eval-every", "10", "--seeds", "2"]
+    panels = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "qconv", "repro", "--out-dir", str(out), *flags],
+                       env=env, check=True, capture_output=True)
+        panels[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert len(panels["1"]) == 4
+    assert panels["1"] == panels["2"]

@@ -1,6 +1,8 @@
 """Layer forward/backward correctness against loop oracles and finite differences."""
 
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from qconv.layers import (
     Network,
     QuantumConv,
     WindowSpec,
-    _bit_pairs,
-    _generator_traces,
+    _gate_basis,
     _overlap_add,
     _pauli_basis,
+    _rotation_grad,
     _windows,
     mse_loss_batch,
     output_shape,
@@ -303,25 +305,44 @@ def count_trig_features(monkeypatch) -> list:
 
 
 def test_pauli_basis_is_built_once_and_read_only():
-    basis = _pauli_basis(2)
-    assert _pauli_basis(2) is basis
-    assert basis.shape == (9, 16)
-    with pytest.raises(ValueError):
-        basis[0, 0] = 2.0
+    for basis, shape in ((_pauli_basis, (9, 16)), (_gate_basis, (4, 4, 4))):
+        built = basis(2)
+        assert basis(2) is built
+        assert built.shape == shape
+        # BLAS rounds differently over other memory layouts, and outputs are pinned to the bit
+        assert built.flags.c_contiguous
+        with pytest.raises(ValueError):
+            built[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_operator_bases_match_kronecker_oracles(n_qubits):
+    pauli = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    want = [functools.reduce(np.kron, ps).ravel() for ps in itertools.product(pauli, repeat=n_qubits)]
+    np.testing.assert_array_equal(_pauli_basis(n_qubits), want)
+
+    ladder = np.eye(2**n_qubits)
+    for i in range(n_qubits - 1):
+        ladder = oracles.cnot_matrix(i, i + 1, n_qubits).real @ ladder
+    ry_terms = [np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])]  # Ry(t) = cos t I + sin t G
+    want = [ladder @ functools.reduce(np.kron, gs) for gs in itertools.product(ry_terms, repeat=n_qubits)]
+    np.testing.assert_array_equal(_gate_basis(n_qubits), want)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 4])
-def test_generator_traces_match_dense_traces(n_qubits):
-    rng = np.random.default_rng(n_qubits)
-    dim = 2**n_qubits
-    z, m = (a + np.swapaxes(a, 1, 2) for a in rng.standard_normal((2, 3, dim, dim)))
-    generator = np.array([[0.0, -1.0], [1.0, 0.0]])  # Ry(pi/2): (a0, a1) -> (-a1, a0)
-    want = [[np.trace(z[f] @ oracles.embed_single(generator, q, n_qubits) @ m[f]).real
-             for q in range(n_qubits)] for f in range(3)]
-    np.testing.assert_allclose(_generator_traces(z, m, n_qubits), want, rtol=1e-12, atol=1e-12)
-    assert _bit_pairs(n_qubits) is _bit_pairs(n_qubits)
-    with pytest.raises(ValueError):
-        _bit_pairs(n_qubits)[0, 0, 0] = 1
+@pytest.mark.parametrize("slots", [2, 3])
+def test_rotation_grad_matches_dense_derivatives(slots, n_qubits):
+    # per-qubit factors (cos t, sin t), or (1, cos t, sin t), and their t-derivatives
+    rng = np.random.default_rng(10 * slots + n_qubits)
+    t = rng.uniform(0.0, 2.0 * np.pi, (n_qubits, 5))
+    factor = np.stack((np.ones_like(t), np.cos(t), np.sin(t)))[3 - slots:]
+    dfactor = np.stack((np.zeros_like(t), -np.sin(t), np.cos(t)))[3 - slots:]
+    p = np.stack([functools.reduce(np.kron, factor[:, :, w].T) for w in range(5)], axis=1)
+    v = rng.standard_normal(p.shape)
+    want = [[v[:, w] @ functools.reduce(np.kron, [(dfactor if r == q else factor)[:, r, w]
+                                                  for r in range(n_qubits)])
+             for w in range(5)] for q in range(n_qubits)]
+    np.testing.assert_allclose(_rotation_grad(v, p, slots, n_qubits), want, rtol=1e-12, atol=1e-12)
 
 
 def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():

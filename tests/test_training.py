@@ -304,6 +304,13 @@ def test_train_config_validation():
         TrainConfig(seeds=())
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite_learning_rate(rate):
+    # nan <= 0 is False, so a plain sign check let nan through to a non-finite loss
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate=rate)
+
+
 @pytest.mark.parametrize("seeds", [(0, -1), (3, 3)], ids=["negative", "duplicate"])
 def test_train_config_rejects_bad_seeds(seeds):
     # a negative seed would fail in SeedSequence after the seeds before it had
