@@ -22,7 +22,6 @@ from .tetris import (
     enumerate_configurations,
     filter_labels,
     generate_dataset,
-    load_dataset,
     save_dataset,
     split,
 )
@@ -46,7 +45,7 @@ __all__ = [
     "WindowSpec", "output_shape",
     "QuantumConv", "ClassicalConv", "MaxPool", "Dense", "Network",
     "CLASS_NAMES", "Dataset", "enumerate_configurations",
-    "generate_dataset", "split", "filter_labels", "save_dataset", "load_dataset",
+    "generate_dataset", "split", "filter_labels", "save_dataset",
     "AdamState", "init_adam", "adam_step", "TrainConfig", "MetricsRecord",
     "TrainingDivergedError", "evaluate", "train", "build_network",
     "run_experiments", "ExperimentResult",

@@ -14,8 +14,8 @@ Settings resolve in precedence order: built-in defaults, then a
 ``--config`` file of flat ``key = value`` lines (``#`` comments allowed,
 unknown keys rejected), then command-line flags.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/divergence
-error, 3 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 runtime error
+(divergence, out of memory), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
             dataset = filter_labels(dataset, names)
         except ValueError as exc:
             raise ConfigError(f"labels: {exc}") from exc
-    save_dataset(dataset, args.out)
+    save_dataset(dataset, args.out, args.seed)
     print(f"wrote {len(dataset)} samples to {args.out}")
     for name in CLASS_NAMES:
         print(f"  class {name}: {len(enumerate_configurations(name))} configurations")
@@ -417,6 +417,9 @@ def main(argv=None) -> int:
         return 1
     except TrainingDivergedError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's allocation failures included
+        print(f"runtime error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -16,9 +16,9 @@ from [0, 0.1), and n int64 labels.  All randomness comes from numpy's
 default generator (PCG64), so any integer seed reproduces a dataset
 bit for bit.
 
-Datasets serialize to JSON lines: a header record
-``{"class_names": [...], "seed": ..., "split": ...}`` followed by one
-``{"label": ..., "pixels": [9 floats, row-major]}`` record per sample.
+``save_dataset`` writes JSON lines, which nothing in the package reads
+back: a header ``{"class_names": [...], "seed": ..., "split": "full"}``
+and one ``{"label": ..., "pixels": [9 floats, row-major]}`` per sample.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ _BASE_SHAPES = {
 }
 
 
-class DatasetFormatError(ValueError):
-    """Raised when a dataset file cannot be parsed or fails validation."""
-
-
 @dataclass(eq=False)
 class Dataset:
     """Images and labels, row for row.  Both arrays are made read-only,
@@ -63,8 +59,6 @@ class Dataset:
     images: np.ndarray  # (n, 3, 3, 1) float64, values in [0, 1]
     labels: np.ndarray  # (n,) int64, indices into class_names
     class_names: tuple[str, ...]
-    split_tag: str = "full"
-    seed: int = 0
 
     def __post_init__(self):
         if self.labels.ndim != 1 or self.images.shape != (self.labels.size, GRID, GRID, 1):
@@ -133,7 +127,7 @@ def generate_dataset(n: int, seed: int) -> Dataset:
         masks[i] = configs[int(rng.integers(len(configs)))].ravel()
         rng.random(out=u[i])
     pixels = np.where(masks == 1, fg_lo + (fg_hi - fg_lo) * u, bg_lo + (bg_hi - bg_lo) * u)
-    return Dataset(pixels.reshape(n, GRID, GRID, 1), labels, CLASS_NAMES, "full", seed)
+    return Dataset(pixels.reshape(n, GRID, GRID, 1), labels, CLASS_NAMES)
 
 
 def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -146,8 +140,8 @@ def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0) -> tuple
         raise ValueError(f"split of {n} samples at {train_fraction} leaves an empty side")
     order = np.random.default_rng(seed).permutation(n)
     return tuple(
-        Dataset(dataset.images[rows], dataset.labels[rows], dataset.class_names, tag, dataset.seed)
-        for rows, tag in ((order[:n_train], "train"), (order[n_train:], "test"))
+        Dataset(dataset.images[rows], dataset.labels[rows], dataset.class_names)
+        for rows in (order[:n_train], order[n_train:])
     )
 
 
@@ -165,77 +159,14 @@ def filter_labels(dataset: Dataset, names) -> Dataset:
     relabel[[dataset.class_names.index(name) for name in names]] = np.arange(len(names))
     labels = relabel[dataset.labels]
     kept = labels >= 0
-    return Dataset(dataset.images[kept], labels[kept], names, dataset.split_tag, dataset.seed)
+    return Dataset(dataset.images[kept], labels[kept], names)
 
 
-def save_dataset(dataset: Dataset, path) -> None:
+def save_dataset(dataset: Dataset, path, seed: int) -> None:
     """Write the JSON-lines form described in the module docstring."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "class_names": list(dataset.class_names),
-            "seed": dataset.seed,
-            "split": dataset.split_tag,
-        }
+        header = {"class_names": list(dataset.class_names), "seed": seed, "split": "full"}
         fh.write(json.dumps(header) + "\n")
         pixels = dataset.images.reshape(len(dataset), GRID * GRID).tolist()
         for label, row in zip(dataset.labels.tolist(), pixels):
             fh.write(json.dumps({"label": label, "pixels": row}) + "\n")
-
-
-def _pixel_in_range(p: float) -> bool:
-    return (
-        BACKGROUND_RANGE[0] <= p <= BACKGROUND_RANGE[1]
-        or FOREGROUND_RANGE[0] <= p <= FOREGROUND_RANGE[1]
-    )
-
-
-def load_dataset(path) -> Dataset:
-    """Read and validate a dataset file; errors carry the offending line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: line 1: empty file, expected a header record")
-
-    def parse(line_no: int, text: str) -> dict:
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise DatasetFormatError(f"{path}: line {line_no}: expected a JSON object")
-        return record
-
-    header = parse(1, lines[0])
-    names = header.get("class_names")
-    if (not isinstance(names, list) or not all(isinstance(x, str) for x in names) or not names
-            or len(set(names)) != len(names)):
-        raise DatasetFormatError(f"{path}: line 1: header needs a class_names list of distinct names")
-    seed, split_tag = header.get("seed", 0), header.get("split", "full")
-    if type(seed) is not int:
-        raise DatasetFormatError(f"{path}: line 1: seed must be an integer, got {seed!r}")
-    if not isinstance(split_tag, str):
-        raise DatasetFormatError(f"{path}: line 1: split must be a string, got {split_tag!r}")
-    class_names = tuple(names)
-    labels, images = [], []
-    for line_no, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            raise DatasetFormatError(f"{path}: line {line_no}: blank line in dataset body")
-        record = parse(line_no, text)
-        label = record.get("label")
-        pixels = record.get("pixels")
-        if type(label) is not int or not 0 <= label < len(class_names):
-            raise DatasetFormatError(f"{path}: line {line_no}: bad label {label!r}")
-        if not isinstance(pixels, list) or len(pixels) != GRID * GRID:
-            raise DatasetFormatError(f"{path}: line {line_no}: pixels must hold {GRID * GRID} values")
-        values = []
-        for p in pixels:
-            if type(p) not in (int, float) or not _pixel_in_range(float(p)):
-                raise DatasetFormatError(
-                    f"{path}: line {line_no}: pixel {p!r} outside "
-                    f"{list(BACKGROUND_RANGE)} / {list(FOREGROUND_RANGE)}"
-                )
-            values.append(float(p))
-        labels.append(label)
-        images.append(values)
-    images = np.array(images, dtype=np.float64).reshape(-1, GRID, GRID, 1)
-    return Dataset(images, np.array(labels, dtype=np.int64), class_names, split_tag, seed)

@@ -46,3 +46,8 @@ def test_removed_names_are_gone():
     assert [f.name for f in dataclasses.fields(qconv.AdamState)] == ["m", "v", "t", "lr"]
     assert issubclass(cli.ExperimentConfig, qconv.TrainConfig)
     assert not hasattr(cli.ExperimentConfig, "train_config")
+    # dataset files are write-only, and a Dataset carries no header fields
+    for name in ("load_dataset", "DatasetFormatError"):
+        assert not hasattr(tetris, name)
+        assert name not in qconv.__all__
+    assert [f.name for f in dataclasses.fields(qconv.Dataset)] == ["images", "labels", "class_names"]

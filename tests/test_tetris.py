@@ -1,6 +1,7 @@
-"""Brick geometry, dataset generation, splitting, filtering, serialization."""
+"""Brick geometry, dataset generation, splitting, filtering, dataset files."""
 
 import hashlib
+import json
 import math
 
 from hypothesis import assume, given, settings
@@ -11,11 +12,9 @@ import pytest
 from qconv.tetris import (
     CLASS_NAMES,
     Dataset,
-    DatasetFormatError,
     enumerate_configurations,
     filter_labels,
     generate_dataset,
-    load_dataset,
     save_dataset,
     split,
 )
@@ -155,7 +154,6 @@ def test_split_800_200():
     dataset = generate_dataset(1000, seed=3)
     train, test = split(dataset, 0.8, seed=0)
     assert len(train) == 800 and len(test) == 200
-    assert train.split_tag == "train" and test.split_tag == "test"
     assert train.class_names == test.class_names == CLASS_NAMES
 
 
@@ -211,10 +209,10 @@ def test_split_then_filter_match_row_oracle(n, fraction, data_seed, split_seed, 
     dataset = generate_dataset(n, data_seed)
     rows = oracles.split_rows(n, fraction, split_seed)
     assert sorted(rows[0] + rows[1]) == list(range(n))  # disjoint and exhaustive
-    for side, side_rows, tag in zip(split(dataset, fraction, split_seed), rows, ("train", "test")):
+    for side, side_rows in zip(split(dataset, fraction, split_seed), rows):
         picked = filter_labels(side, names)
         kept, labels = oracles.filter_rows(side_rows, dataset.labels.tolist(), CLASS_NAMES, names)
-        assert (side.split_tag, picked.split_tag, picked.class_names) == (tag, tag, names)
+        assert picked.class_names == names
         assert len(side) == len(side_rows) and picked.labels.tolist() == labels
         for got, row in zip(side.images, side_rows):
             assert np.array_equal(got, dataset.images[row])
@@ -241,101 +239,14 @@ def test_split_and_filter_do_not_mutate_source():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# dataset files
 
-def test_save_load_round_trip(tmp_path):
-    dataset = generate_dataset(25, seed=12)
+@pytest.mark.parametrize("names", [CLASS_NAMES, ("S", "T")], ids=["all", "S-T"])
+def test_save_round_trip(tmp_path, names):
+    dataset = filter_labels(generate_dataset(25, seed=12), names)
     path = tmp_path / "data.jsonl"
-    save_dataset(dataset, path)
-    loaded = load_dataset(path)
-    assert loaded.class_names == dataset.class_names
-    assert loaded.seed == dataset.seed
-    assert loaded.split_tag == dataset.split_tag
-    assert len(loaded) == len(dataset)
-    np.testing.assert_array_equal(loaded.labels, dataset.labels)
-    np.testing.assert_array_equal(loaded.images, dataset.images)
-
-
-def test_load_truncated_record_reports_line(tmp_path):
-    dataset = generate_dataset(3, seed=13)
-    path = tmp_path / "data.jsonl"
-    save_dataset(dataset, path)
-    text = path.read_text().splitlines()
-    path.write_text("\n".join(text[:2] + [text[3][:20]]) + "\n")
-    with pytest.raises(DatasetFormatError, match="line 3"):
-        load_dataset(path)
-
-
-def test_load_rejects_out_of_range_pixel(tmp_path):
-    path = tmp_path / "data.jsonl"
-    header = '{"class_names": ["S", "L", "O", "T", "I"], "seed": 0, "split": "full"}'
-    record = '{"label": 0, "pixels": [1.5, 0, 0, 0, 0, 0, 0, 0, 0]}'
-    path.write_text(header + "\n" + record + "\n")
-    with pytest.raises(DatasetFormatError, match="line 2"):
-        load_dataset(path)
-
-
-def test_load_rejects_mid_range_pixel(tmp_path):
-    # 0.5 is outside both the background and foreground bands
-    path = tmp_path / "data.jsonl"
-    header = '{"class_names": ["S", "T"], "seed": 0, "split": "full"}'
-    record = '{"label": 1, "pixels": [0.5, 0, 0, 0, 0, 0, 0, 0, 0]}'
-    path.write_text(header + "\n" + record + "\n")
-    with pytest.raises(DatasetFormatError):
-        load_dataset(path)
-
-
-def test_load_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.raises(DatasetFormatError, match="line 1"):
-        load_dataset(path)
-
-
-def test_load_rejects_bad_label(tmp_path):
-    path = tmp_path / "data.jsonl"
-    header = '{"class_names": ["S", "T"], "seed": 0, "split": "full"}'
-    record = '{"label": 7, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}'
-    path.write_text(header + "\n" + record + "\n")
-    with pytest.raises(DatasetFormatError, match="line 2"):
-        load_dataset(path)
-
-
-@pytest.mark.parametrize("record", [
-    pytest.param('{"label": true, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}', id="label"),
-    pytest.param('{"label": 1, "pixels": [0, 0, 0, 0, true, 0, 0, 0, 0]}', id="pixel"),
-])
-def test_load_rejects_json_booleans(tmp_path, record):
-    # bool is an int in Python, so true would otherwise load as label 1 or pixel 1.0
-    path = tmp_path / "data.jsonl"
-    header = '{"class_names": ["S", "T"], "seed": 0, "split": "full"}'
-    valid = '{"label": 0, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}'
-    path.write_text("\n".join([header, valid, record]) + "\n")
-    with pytest.raises(DatasetFormatError, match="line 3: .*True"):
-        load_dataset(path)
-
-
-@pytest.mark.parametrize("header, message", [
-    pytest.param('"class_names": ["S", "T"], "seed": "abc", "split": "full"', "seed", id="seed-string"),
-    pytest.param('"class_names": ["S", "T"], "seed": true, "split": "full"', "seed", id="seed-bool"),
-    pytest.param('"class_names": ["S", "T"], "seed": 0, "split": ["x"]', "split", id="split-list"),
-    pytest.param('"class_names": ["S", "T"], "seed": 0, "split": 5', "split", id="split-int"),
-    pytest.param('"class_names": ["S", "S"], "seed": 0, "split": "full"', "distinct", id="names-repeat"),
-])
-def test_load_rejects_bad_header_fields(tmp_path, header, message):
-    # each would load, and save_dataset would write it back out
-    path = tmp_path / "data.jsonl"
-    record = '{"label": 1, "pixels": [0, 0, 0, 0, 0, 0, 0, 0, 0]}'
-    path.write_text("{" + header + "}\n" + record + "\n")
-    with pytest.raises(DatasetFormatError, match=f"line 1: .*{message}"):
-        load_dataset(path)
-
-
-def test_saved_filtered_dataset_round_trips(tmp_path):
-    dataset = filter_labels(generate_dataset(60, seed=14), ("S", "T"))
-    path = tmp_path / "two.jsonl"
-    save_dataset(dataset, path)
-    loaded = load_dataset(path)
-    assert loaded.class_names == ("S", "T")
-    np.testing.assert_array_equal(loaded.labels, dataset.labels)
-    np.testing.assert_array_equal(loaded.images, dataset.images)
+    save_dataset(dataset, path, seed=12)
+    header, *records = map(json.loads, path.read_text().splitlines())
+    assert header == {"class_names": list(names), "seed": 12, "split": "full"}
+    assert [r["label"] for r in records] == dataset.labels.tolist()
+    np.testing.assert_array_equal([r["pixels"] for r in records], dataset.images.reshape(-1, 9))

@@ -26,11 +26,11 @@ from qconv.training import (
 def toy_dataset(labels, n_classes=None, seed=0):
     images = 0.1 * np.random.default_rng(seed).random((len(labels), 3, 3, 1))
     names = ("S", "L", "O", "T", "I")[: (n_classes or max(labels) + 1)]
-    return Dataset(images, np.array(labels, dtype=np.int64), names, "full", seed)
+    return Dataset(images, np.array(labels, dtype=np.int64), names)
 
 
-def empty_dataset(split_tag):
-    return Dataset(np.empty((0, 3, 3, 1)), np.empty(0, dtype=np.int64), ("S", "T"), split_tag, 0)
+def empty_dataset():
+    return Dataset(np.empty((0, 3, 3, 1)), np.empty(0, dtype=np.int64), ("S", "T"))
 
 
 def evaluate_on(net, dataset):
@@ -121,7 +121,7 @@ def test_evaluate_single_sample_accuracy_is_binary():
 
 def test_evaluate_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        evaluate_on(constant_net([0.0, 1.0]), empty_dataset("full"))
+        evaluate_on(constant_net([0.0, 1.0]), empty_dataset())
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_train_rejects_zero_iterations():
 def test_train_rejects_empty_training_set():
     net = build_network("cnn", "one-layer", 2, seed=0)
     data = toy_dataset([0, 1], n_classes=2)
-    empty = empty_dataset("train")
+    empty = empty_dataset()
     with pytest.raises(ValueError, match="empty training set"):
         train(net, empty, data, TrainConfig(iterations=1, seeds=(0,)))
 
@@ -146,7 +146,7 @@ def test_train_rejects_empty_test_set_before_training():
     net = build_network("cnn", "one-layer", 2, seed=0)
     data = toy_dataset([0, 1], n_classes=2)
     before = net.get_flat_params()
-    empty = empty_dataset("test")
+    empty = empty_dataset()
     with pytest.raises(ValueError, match="empty test set"):
         train(net, data, empty, TrainConfig(iterations=10, eval_every=10, seeds=(0,)))
     np.testing.assert_array_equal(net.get_flat_params(), before)
@@ -156,7 +156,7 @@ def test_train_rejects_labels_outside_the_network():
     net = build_network("cnn", "one-layer", 2, seed=0)
     data = toy_dataset([0, 1], n_classes=2)
     for labels in ([0, 4], [-1, 1]):
-        wide = Dataset(data.images, np.array(labels), ("S", "L", "O", "T", "I"), "train", 0)
+        wide = Dataset(data.images, np.array(labels), ("S", "L", "O", "T", "I"))
         with pytest.raises(ValueError, match="out of range for 2 classes"):
             train(net, wide, data, TrainConfig(iterations=1, seeds=(0,)))
 
@@ -165,7 +165,7 @@ def test_train_smoke_loss_decreases():
     labels = np.array([0, 1] * 5)
     base = np.where(labels == 0, 0.05, 0.9)[:, None, None, None]
     images = np.clip(base + 0.02 * np.random.default_rng(1).random((10, 3, 3, 1)), 0, 1)
-    data = Dataset(images, labels, ("S", "T"), "full", 1)
+    data = Dataset(images, labels, ("S", "T"))
     net = build_network("qccnn", "one-layer", 2, seed=2)
     records = train(net, data, data, TrainConfig(iterations=30, eval_every=5, seeds=(0,)))
     assert records[-1].train_loss < records[0].train_loss
