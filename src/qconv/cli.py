@@ -167,6 +167,8 @@ def _final_summary(result: ExperimentResult) -> dict:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"n: must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     dataset = generate_dataset(args.n, args.seed)
     if args.labels != "all":
         names = tuple(part.strip() for part in args.labels.split(",") if part.strip())
@@ -264,6 +266,8 @@ def run_gradient_check(cases: int, seed: int, depth: int | None = None) -> dict:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.cases < 1:
         raise ConfigError(f"cases: must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     if args.depth is not None and args.depth < 0:
         raise ConfigError(f"depth: must be >= 0, got {args.depth}")
     report = run_gradient_check(args.cases, args.seed, depth=args.depth)

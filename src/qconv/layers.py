@@ -117,20 +117,22 @@ def _windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
     return np.stack(_window_slices(xb, window))
 
 
-def _overlap_add(term, window: WindowSpec, rows: int, cols: int, input_shape) -> np.ndarray:
-    """Sum ``term(k)``, window offset k's (rows, cols, d, S) terms, onto the input: (S, v, h, d).
+def _overlap_add(term, window: WindowSpec, shape) -> np.ndarray:
+    """Sum ``term(k)``, window offset k's terms of the given (rows, cols, d, S)
+    shape, onto the input: (S, v, h, d).
 
     One add per window offset, taken in reverse, so that every
     input cell sums its terms in the output cells' row-major order.
     `MaxPool` builds each offset's terms as they are added: stacking them
     first took one more large allocation per call.
     """
-    samples, v, h, d = input_shape
+    rows, cols, d, samples = shape
     p = window.padding
-    dxp = np.zeros((v + 2 * p, h + 2 * p, d, samples))
+    # windows step one cell, so this is the padded input's shape
+    dxp = np.zeros((rows + window.height - 1, cols + window.width - 1, d, samples))
     for k, (r, c) in reversed(list(enumerate(_window_offsets(window, rows, cols)))):
         dxp[r, c] += term(k)
-    return dxp[p : p + v, p : p + h].transpose(3, 0, 1, 2)
+    return dxp[p : dxp.shape[0] - p, p : dxp.shape[1] - p].transpose(3, 0, 1, 2)
 
 
 def _merge_filters(y: np.ndarray) -> np.ndarray:
@@ -229,13 +231,12 @@ def _block_gates(angles: np.ndarray, n_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Encoded:
-    """A batch as `QuantumConv` sees it: read-only phi of shape (3**n,
-    windows per sample, samples) and the raw batch's shape.  Indexing takes
+    """A batch as `QuantumConv` sees it: read-only phi of shape (3**n, rows,
+    cols, channels, samples), on the layer's output grid.  Indexing takes
     samples, by slice or index array, so ``inputs[idx]`` is a mini-batch of
     raw and encoded inputs alike."""
 
     phi: np.ndarray
-    in_shape: tuple
 
     def __post_init__(self):
         self.phi.flags.writeable = False
@@ -243,8 +244,7 @@ class Encoded:
     def __getitem__(self, idx) -> Encoded:
         if not isinstance(idx, slice) and np.ndim(idx) == 0:
             raise TypeError(f"index Encoded with a slice or an array of samples, got {idx!r}")
-        phi = self.phi[..., idx]
-        return Encoded(phi, (phi.shape[-1],) + tuple(self.in_shape[1:]))
+        return Encoded(self.phi[..., idx])
 
 
 class QuantumConv:
@@ -294,8 +294,9 @@ class QuantumConv:
 
     def encode(self, xb: np.ndarray) -> Encoded:
         """phi of every window of xb; depends on the input only, never on the angles."""
-        phi = _trig_features(_windows(xb, self.window).reshape(self.window.area, -1))
-        return Encoded(phi.reshape(phi.shape[0], -1, xb.shape[0]), xb.shape)
+        win = _windows(xb, self.window)
+        phi = _trig_features(win.reshape(self.window.area, -1))
+        return Encoded(phi.reshape(phi.shape[:1] + win.shape[1:]))
 
     def forward(self, xb: np.ndarray):
         return self.forward_encoded(self.encode(xb))
@@ -311,10 +312,9 @@ class QuantumConv:
             obs = observables[block] = np.swapaxes(gates[block], -1, -2) @ obs @ gates[block]
         coeffs = obs.reshape(self.filters, -1) @ _pauli_basis(n).T / 2**n  # sum(O * P) = Tr(O P)
         phi = enc.phi.reshape(3**n, -1)
-        rows, cols, _ = self.out_shape(enc.in_shape[1:])
-        out = _merge_filters((coeffs @ phi).reshape(self.filters, rows, cols, -1, enc.in_shape[0]))
-        cache = {"phi": phi, "coeffs": coeffs, "gates": gates, "observables": observables,
-                 "in_shape": enc.in_shape}
+        out = _merge_filters((coeffs @ phi).reshape((self.filters,) + enc.phi.shape[1:]))
+        cache = {"phi": phi.reshape(enc.phi.shape), "coeffs": coeffs, "gates": gates,
+                 "observables": observables}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
@@ -325,7 +325,7 @@ class QuantumConv:
         # sum_w u_fw f_f(x_w) = 2**-n Tr(O_b M_b), M_b the upstream-weighted encoded densities
         # carried to block b; its derivative in g_b is 2**(1-n) g_b O_b M_b, per {I, G}^n product
         weights = np.empty((2**n, self.depth, self.filters))
-        m = (u @ phi.T @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
+        m = (u @ phi.reshape(3**n, -1).T @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
         gate_basis = _gate_basis(n).reshape(2**n, 4**n)
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
             weights[:, block] = gate_basis @ (g @ z @ m).reshape(self.filters, 4**n).T
@@ -336,8 +336,7 @@ class QuantumConv:
         dx = None
         if need_dx:
             dwin = 2.0 * _rotation_grad(coeffs.T @ u, phi, 3, n)  # d(2t)/dt = 2
-            dwin = dwin.reshape((n,) + upstream.shape[1:3] + (-1, upstream.shape[0]))
-            dx = _overlap_add(dwin.__getitem__, self.window, *upstream.shape[1:3], cache["in_shape"])
+            dx = _overlap_add(dwin.__getitem__, self.window, dwin.shape[1:])
         return [dangles], dx
 
 
@@ -365,7 +364,7 @@ class ClassicalConv:
         z = self.weights.reshape(self.filters, -1) @ win.reshape(self.window.area, -1)
         np.maximum(z, 0.0, out=z)  # ReLU; backward's z > 0 mask is the same either side of it
         out = _merge_filters(z.reshape((-1,) + win.shape[1:]))
-        cache = {"win": win, "z": z, "in_shape": xb.shape}
+        cache = {"win": win, "z": z}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
@@ -375,7 +374,7 @@ class ClassicalConv:
         dx = None
         if need_dx:
             dwin = (self.weights.reshape(self.filters, -1).T @ u).reshape(win.shape)
-            dx = _overlap_add(dwin.__getitem__, self.window, *win.shape[1:3], cache["in_shape"])
+            dx = _overlap_add(dwin.__getitem__, self.window, win.shape[1:])
         return [dw], dx
 
 
@@ -407,7 +406,7 @@ class MaxPool:
             # k where strictly greater, with k increasing: the first maximum keeps a tie
             np.maximum(argmax, np.multiply(v > out, k, dtype=argmax.dtype), out=argmax)
             np.maximum(out, v, out=out)
-        cache = {"argmax": argmax, "in_shape": xb.shape}
+        cache = {"argmax": argmax}
         return out.transpose(3, 0, 1, 2), cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
@@ -416,8 +415,7 @@ class MaxPool:
         argmax, up = cache["argmax"], upstream.transpose(1, 2, 3, 0)
         # not np.where, ~3x slower here; they differ only on a non-finite upstream
         term = np.empty_like(up)
-        dx = _overlap_add(lambda k: np.multiply(up, argmax == k, out=term), self.window,
-                          *argmax.shape[:2], cache["in_shape"])
+        dx = _overlap_add(lambda k: np.multiply(up, argmax == k, out=term), self.window, argmax.shape)
         return [], dx
 
 

@@ -35,19 +35,19 @@ CLASS_NAMES = ("S", "L", "O", "T", "I")
 FOREGROUND_RANGE = (0.7, 1.0)
 BACKGROUND_RANGE = (0.0, 0.1)
 
-# Base cell sets (row, col); rotations/translations are derived.
+# Base shapes as 0/1 rows; rotations/translations are derived.
 _BASE_SHAPES = {
     "S": [
-        ((0, 1), (0, 2), (1, 0), (1, 1)),  # S tetromino
-        ((0, 0), (0, 1), (1, 1), (1, 2)),  # Z tetromino
+        [[0, 1, 1], [1, 1, 0]],  # S tetromino
+        [[1, 1, 0], [0, 1, 1]],  # Z tetromino
     ],
     "L": [
-        ((0, 0), (1, 0), (2, 0), (2, 1)),  # L tetromino
-        ((0, 1), (1, 1), (2, 1), (2, 0)),  # J tetromino
+        [[1, 0], [1, 0], [1, 1]],  # L tetromino
+        [[0, 1], [0, 1], [1, 1]],  # J tetromino
     ],
-    "O": [((0, 0), (0, 1), (1, 0), (1, 1))],
-    "T": [((0, 0), (0, 1), (0, 2), (1, 1))],
-    "I": [((0, 0), (0, 1), (0, 2))],
+    "O": [[[1, 1], [1, 1]]],
+    "T": [[[1, 1, 1], [0, 1, 0]]],
+    "I": [[[1, 1, 1]]],
 }
 
 
@@ -70,37 +70,22 @@ class Dataset:
         return self.labels.size
 
 
-def _normalize(cells):
-    r0 = min(r for r, _ in cells)
-    c0 = min(c for _, c in cells)
-    return tuple(sorted((r - r0, c - c0) for r, c in cells))
-
-
-def _rotate(cells):
-    height = max(r for r, _ in cells) + 1
-    return _normalize(tuple((c, height - 1 - r) for r, c in cells))
-
-
 def enumerate_configurations(name: str) -> list[np.ndarray]:
-    """All placements of a brick class on the 3x3 grid, as binary masks."""
+    """All placements of a brick class on the 3x3 grid, as distinct binary
+    masks: each base shape's four clockwise turns in order, each at every
+    offset that fits, row-major.  A turn equal to an earlier one adds no
+    mask."""
     if name not in _BASE_SHAPES:
         raise ValueError(f"unknown brick class {name!r}, expected one of {CLASS_NAMES}")
     masks: dict[bytes, np.ndarray] = {}
     for base in _BASE_SHAPES[name]:
-        orientations = []
-        cells = _normalize(base)
-        for _ in range(4):
-            if cells not in orientations:
-                orientations.append(cells)
-            cells = _rotate(cells)
-        for cells in orientations:
-            height = max(r for r, _ in cells) + 1
-            width = max(c for _, c in cells) + 1
+        shape = np.array(base, dtype=np.uint8)
+        for turn in (np.rot90(shape, -k) for k in range(4)):
+            height, width = turn.shape
             for dr in range(GRID - height + 1):
                 for dc in range(GRID - width + 1):
                     mask = np.zeros((GRID, GRID), dtype=np.uint8)
-                    for r, c in cells:
-                        mask[r + dr, c + dc] = 1
+                    mask[dr : dr + height, dc : dc + width] = turn
                     masks.setdefault(mask.tobytes(), mask)
     return list(masks.values())
 

@@ -9,6 +9,7 @@ combination trained on a seed shares that seed's data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +102,19 @@ class MetricsRecord:
 
 @dataclass
 class ExperimentResult:
-    model: str
-    architecture: str
-    labels: int
+    """One combination's runs, one per seed, in seed order."""
+
     seeds: tuple[int, ...]
     per_seed: list[list[MetricsRecord]]
-    mean: list[MetricsRecord]
+
+    @functools.cached_property
+    def mean(self) -> list[MetricsRecord]:
+        """Each metric's mean over the seeds, eval point by eval point."""
+        return [MetricsRecord(runs[0].iteration,
+                              float(np.mean([run.train_loss for run in runs])),
+                              float(np.mean([run.test_loss for run in runs])),
+                              float(np.mean([run.test_accuracy for run in runs])))
+                for runs in zip(*self.per_seed)]
 
 
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -204,20 +212,6 @@ def seed_children(seed: int) -> tuple[int, int, int]:
     return int(a), int(b), int(c)
 
 
-def _mean_records(per_seed: list[list[MetricsRecord]]) -> list[MetricsRecord]:
-    out = []
-    for i in range(len(per_seed[0])):
-        out.append(
-            MetricsRecord(
-                per_seed[0][i].iteration,
-                float(np.mean([run[i].train_loss for run in per_seed])),
-                float(np.mean([run[i].test_loss for run in per_seed])),
-                float(np.mean([run[i].test_accuracy for run in per_seed])),
-            )
-        )
-    return out
-
-
 def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
                     on_seed=None) -> dict[tuple[str, str, int], ExperimentResult]:
     """Train each (model, architecture, labels) combination over all seeds.
@@ -248,10 +242,8 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
             net = build_network(model, architecture, labels, init_seed)
             try:
                 runs.append(train(net, *sets[labels], config))
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(
-                    f"{model} {architecture} {labels}-label, seed {seed}: {exc}"
-                ) from exc
+            except (TrainingDivergedError, ValueError) as exc:  # e.g. an empty filtered set
+                raise type(exc)(f"{model} {architecture} {labels}-label, seed {seed}: {exc}") from exc
         return runs
 
     per_seed: dict[tuple[str, str, int], list] = {c: [] for c in combinations}
@@ -260,7 +252,5 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
             on_seed(index, seed)
         for combination, records in zip(combinations, run_seed(seed)):
             per_seed[combination].append(records)
-    return {
-        combination: ExperimentResult(*combination, tuple(config.seeds), runs, _mean_records(runs))
-        for combination, runs in per_seed.items()
-    }
+    return {combination: ExperimentResult(tuple(config.seeds), runs)
+            for combination, runs in per_seed.items()}

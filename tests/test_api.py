@@ -51,3 +51,8 @@ def test_removed_names_are_gone():
         assert not hasattr(tetris, name)
         assert name not in qconv.__all__
     assert [f.name for f in dataclasses.fields(qconv.Dataset)] == ["images", "labels", "class_names"]
+    # values that can be read from the arrays, or from the key a result is
+    # filed under, are not stored beside them
+    assert [f.name for f in dataclasses.fields(qconv.layers.Encoded)] == ["phi"]
+    assert [f.name for f in dataclasses.fields(qconv.ExperimentResult)] == ["seeds", "per_seed"]
+    assert not hasattr(training, "_mean_records")

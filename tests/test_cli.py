@@ -76,6 +76,14 @@ def test_gen_data_unknown_label_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "gradcheck"])
+def test_negative_generator_seed_is_config_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # where gen-data's default output file would go
+    assert main([command, "--seed", "-2"]) == 1
+    assert capsys.readouterr().err == "config error: seed: must be >= 0, got -2\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_data_bad_path_is_io_error(tmp_path, capsys):
     assert main(["gen-data", "--n", "5", "--out", str(tmp_path / "no" / "dir" / "f.jsonl")]) == 3
     assert "io error" in capsys.readouterr().err
@@ -279,6 +287,15 @@ def test_gradcheck_passes_and_reports(capsys):
     assert "PASS" in out
 
 
+def test_gradcheck_default_deviation_stays_in_band(capsys):
+    # the default run's max deviation was 8.364e-10 when this test was written; a
+    # factor of 2 either way allows BLAS rounding but not a changed gradient
+    assert main(["gradcheck"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("max deviation"))
+    deviation = float(line.split(": ")[1].split()[0])
+    assert 8.364e-10 / 2 <= deviation <= 8.364e-10 * 2, line
+
+
 def test_gradcheck_depth_zero_trivially_passes():
     assert main(["gradcheck", "--cases", "5", "--depth", "0"]) == 0
 
@@ -375,6 +392,19 @@ def test_repro_divergence_names_the_run(tmp_path, capsys):
         "runtime error: qccnn one-layer 2-label, seed 0: "
         "non-finite evaluation loss at iteration 2\n"
     )
+
+
+@pytest.mark.parametrize("command, err", [
+    pytest.param(["repro", "--images", "2", "--seeds", "1"],
+                 "qccnn one-layer 2-label, seed 0: cannot train on an empty training set",
+                 id="repro-empty-training-set"),
+    pytest.param(["train", "--images", "5", "--seeds", "2", "--eval-every", "1"],
+                 "qccnn one-layer 2-label, seed 1: cannot evaluate on an empty test set",
+                 id="train-empty-test-set"),
+])
+def test_empty_set_names_the_run(tmp_path, capsys, command, err):
+    assert main([*command, "--iterations", "2", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {err}\n"
 
 
 def test_repro_identical_configs_are_byte_identical(tmp_path):

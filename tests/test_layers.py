@@ -3,6 +3,8 @@
 import dataclasses
 import functools
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from qconv.layers import (
     output_shape,
 )
 from qconv.tetris import generate_dataset, split
-from qconv.training import TrainConfig, build_network, train
+from qconv.training import ARCHITECTURES, LABEL_CHOICES, MODELS, TrainConfig, build_network, train
 
 import oracles
 
@@ -349,12 +351,12 @@ def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():
     layer = QuantumConv(WIN, filters=3, depth=2, rng=np.random.default_rng(30))
     x = np.random.default_rng(31).random((6, 3, 3, 2))
     enc = layer.encode(x)
-    assert enc.phi.shape == (81, 2 * 2 * 2, 6) and enc.in_shape == x.shape
+    assert enc.phi.shape == (81, 2, 2, 2, 6)
     for idx in (np.arange(6), np.array([4, 5, 0, 1]), np.array([2])):
         got, cache = layer.forward_encoded(enc[idx])
         want, want_cache = layer.forward(x[idx])
         assert got.tobytes() == want.tobytes()
-        assert cache["in_shape"] == want_cache["in_shape"] == x[idx].shape
+        assert cache["phi"].shape == want_cache["phi"].shape == (81, 2, 2, 2, len(idx))
         upstream = np.random.default_rng(32).standard_normal(got.shape)
         (dangles,), dx = layer.backward(upstream, cache)
         (want_dangles,), want_dx = layer.backward(upstream, want_cache)
@@ -378,7 +380,7 @@ def test_encoded_rejects_an_index_that_drops_the_sample_axis():
     for idx in (0, -1, np.int64(2), np.array(1)):
         with pytest.raises(TypeError, match="slice or an array of samples"):
             enc[idx]
-    assert enc[[0]].phi.shape == enc[0:1].phi.shape == (81, 4, 1)
+    assert enc[[0]].phi.shape == enc[0:1].phi.shape == (81, 2, 2, 1, 1)
 
 
 def benchmark_quantum_convs():
@@ -507,7 +509,7 @@ def test_scatter_windows_is_the_adjoint_of_windows(geometry, samples, channels, 
     rows, cols, _ = output_shape(x.shape[1:], window)
     assert win.shape == (window.area, rows, cols, channels, samples)
     g = rng.standard_normal(win.shape)
-    scattered = (_overlap_add(g.__getitem__, window, rows, cols, x.shape) * x).sum()
+    scattered = (_overlap_add(g.__getitem__, window, win.shape[1:]) * x).sum()
     assert (g * win).sum() == pytest.approx(scattered, rel=1e-12, abs=1e-12)
 
 
@@ -778,6 +780,48 @@ def test_build_network_gradients_match_finite_differences(model, architecture, l
         np.testing.assert_allclose(grads, fd, rtol=0.0, atol=1e-6)
 
 
+# loss and gradient of every benchmark network, written by an earlier commit
+PINNED_GRADIENTS = Path(__file__).parent / "data" / "network_gradients.json"
+
+
+def benchmark_network_gradients(encode: bool) -> dict:
+    """``{"model architecture labels": (loss, flat gradient)}`` of `loss_and_gradients` for
+    every ``build_network(..., seed=42)`` on 12 images, raw or through `Network.encode`,
+    against the one-hot targets of labels 0, 1, 2, ... in turn."""
+    images = generate_dataset(12, seed=44).images
+    out = {}
+    for model, architecture, labels in itertools.product(MODELS, ARCHITECTURES, LABEL_CHOICES):
+        net = build_network(model, architecture, labels, seed=42)
+        targets = np.eye(labels)[np.arange(len(images)) % labels]
+        loss, grads, _ = net.loss_and_gradients(net.encode(images) if encode else images, targets)
+        out[f"{model} {architecture} {labels}"] = (loss, grads)
+    return out
+
+
+@pytest.mark.parametrize("encode", [False, True], ids=["raw", "encoded"])
+def test_network_gradients_match_pinned_file(encode):
+    """Every benchmark network's loss and gradient match tests/data/network_gradients.json
+    within 1e-12 relative to the largest entry of each.
+
+    Regenerate the file, and say in CHANGES.md why and by how much it moved, with
+    ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_layers.py``.  It was
+    written on a 2-CPU Intel Xeon with numpy's bundled OpenBLAS.  A match under a
+    different BLAS kernel is unverified, so read a failure there as a question
+    about the host first.
+    """
+    pinned = json.loads(PINNED_GRADIENTS.read_text())
+    got = benchmark_network_gradients(encode)
+    assert sorted(got) == sorted(pinned)
+    for key, (loss, grads) in got.items():
+        for name, value in (("loss", [loss]), ("gradient", grads)):
+            want = np.atleast_1d(pinned[key][name])
+            deviation = np.abs(value - want) / np.abs(want).max()
+            assert deviation.max() <= 1e-12, (
+                f"{key} {name}: largest relative deviation {deviation.max():.3e} "
+                f"at entry {deviation.argmax()}"
+            )
+
+
 def test_network_forward_deterministic():
     net = build_network("qccnn", "two-layer", 5, seed=3)
     x = np.random.default_rng(4).random((1, 3, 3, 1))
@@ -793,3 +837,10 @@ def test_network_flat_param_round_trip():
     np.testing.assert_allclose(net.get_flat_params(), flat * 2.0, atol=1e-15)
     with pytest.raises(ValueError):
         net.set_flat_params(flat[:-1])
+
+
+if __name__ == "__main__":
+    PINNED_GRADIENTS.write_text(json.dumps(
+        {key: {"loss": loss, "gradient": grads.tolist()}
+         for key, (loss, grads) in benchmark_network_gradients(encode=False).items()},
+        indent=1) + "\n")
