@@ -5,12 +5,14 @@ channels); batched variants carry a leading sample axis.  ``forward``
 returns ``(output, cache)`` and ``backward`` consumes that cache.
 Layers keep no state between calls beyond their parameters.
 
-Windows step one cell at a time.  Every window layer reads one slice of
-the zero-padded input per window offset, gathered in (offset, rows,
-cols, channels, samples) order, and scatters gradients back from it:
-with samples innermost, numpy's inner loops run over samples, not over
-1-6 channels.  Batches pass between layers as (samples, rows, cols,
-channels) views of samples-last memory.  Convolution layers apply every
+Windows step one cell at a time.  Every window layer reads, per window
+offset, only the output cells whose window cell lies inside the input
+(`_clipped_offsets`); padding reads 0 and builds no padded copy.
+Windows are gathered in (offset, rows, cols, channels, samples) order,
+and gradients scatter back from it: with samples innermost, numpy's
+inner loops run over samples, not over 1-6 channels.  Batches pass
+between layers as (samples, rows, cols, channels) views of samples-last
+memory.  Convolution layers apply every
 filter to every input channel independently; input channel c under
 filter f lands on output channel ``c * filters + f`` (`_merge_filters`),
 giving ``d * k`` channels.
@@ -43,10 +45,10 @@ Pauli basis and the Ry layers are each one tensor product over qubits
 qubit's (cos t, sin t) into (-sin t, cos t) (`_rotation_grad`).  This is
 the only circuit evaluator; the tests check it against dense-matrix
 oracles, and ``qconv gradcheck`` checks its gradients against finite
-differences.  phi depends only on the input, so a fixed set is
-encoded once (`QuantumConv.encode`, `Network.encode`) and the
-`Encoded` value, or any mini-batch indexed from it, is forwarded with
-`QuantumConv.forward_encoded`.
+differences.  phi depends only on the input, as do `ClassicalConv`'s
+windows, so a fixed set is encoded once through the first convolution
+(`encode`, `Network.encode`) and the `Encoded` value, or any
+mini-batch indexed from it, is forwarded with `forward_encoded`.
 """
 
 from __future__ import annotations
@@ -93,46 +95,61 @@ def output_shape(input_shape, window: WindowSpec, filters: int = 1) -> tuple[int
     return (rows, cols, d * filters)
 
 
-def _window_offsets(window: WindowSpec, rows: int, cols: int) -> list[tuple[slice, slice]]:
-    """Padded-input row and column slices under each window offset, row-major."""
-    return [(slice(a, a + rows), slice(b, b + cols))
-            for a in range(window.height) for b in range(window.width)]
-
-
-def _window_slices(xb: np.ndarray, window: WindowSpec) -> list[np.ndarray]:
-    """The (rows, cols, d, S) slice of the zero-padded batch under each window offset."""
-    rows, cols, _ = output_shape(xb.shape[1:], window)
+@functools.lru_cache(maxsize=None)
+def _clipped_offsets(window: WindowSpec, v: int, h: int) -> tuple:
+    """``(reads, first_pad)`` per window offset k over a (v, h) input, row-major:
+    ``reads`` pairs the (rows, cols) slices of the output cells that read the input
+    at k with those of the input cells they read, or is None; ``first_pad`` slices
+    the cells whose first padding offset is k >= 1 (one row or column), or is None."""
     p = window.padding
-    xt = xb.transpose(1, 2, 3, 0)  # already contiguous for the batches layers return
-    if p:
-        xp = np.zeros((xt.shape[0] + 2 * p, xt.shape[1] + 2 * p) + xt.shape[2:])
-        xp[p:-p, p:-p] = xt
-    else:
-        xp = np.ascontiguousarray(xt)
-    return [xp[r, c] for r, c in _window_offsets(window, rows, cols)]
+    rows, cols, _ = output_shape((v, h, 1), window)
+    padded_before = np.zeros((rows, cols), dtype=bool)
+    offsets = []
+    for a in range(window.height):
+        for b in range(window.width):
+            r0, c0 = max(p - a, 0), max(p - b, 0)
+            r1, c1 = max(min(rows, v + p - a), r0), max(min(cols, h + p - b), c0)
+            cells = (slice(r0, r1), slice(c0, c1))
+            reads = (cells, (slice(r0 + a - p, r1 + a - p), slice(c0 + b - p, c1 + b - p)))
+            pad = np.ones((rows, cols), dtype=bool)
+            pad[cells] = False
+            i, j = np.nonzero(pad & ~padded_before)
+            first_pad = (slice(i.min(), i.max() + 1), slice(j.min(), j.max() + 1)) if i.size else None
+            offsets.append((reads if r1 > r0 and c1 > c0 else None, first_pad if offsets else None))
+            padded_before |= pad
+    return tuple(offsets)
 
 
 def _windows(xb: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """Every window of a batch as (m*n, rows, cols, channels, samples), values row-major."""
-    return np.stack(_window_slices(xb, window))
+    """Every window of a batch as (m*n, rows, cols, channels, samples), values row-major,
+    padding 0."""
+    rows, cols, _ = output_shape(xb.shape[1:], window)
+    x = xb.transpose(1, 2, 3, 0)
+    win = np.zeros((window.area, rows, cols) + x.shape[2:])
+    for k, (reads, _) in enumerate(_clipped_offsets(window, *x.shape[:2])):
+        if reads:
+            win[k][reads[0]] = x[reads[1]]
+    return win
 
 
 def _overlap_add(term, window: WindowSpec, shape) -> np.ndarray:
-    """Sum ``term(k)``, window offset k's terms of the given (rows, cols, d, S)
-    shape, onto the input: (S, v, h, d).
+    """Sum ``term(k, cells)``, window offset k's terms on the given output
+    cells of a (rows, cols, d, S) grid, onto the input: (S, v, h, d).
 
-    One add per window offset, taken in reverse, so that every
-    input cell sums its terms in the output cells' row-major order.
-    `MaxPool` builds each offset's terms as they are added: stacking them
-    first took one more large allocation per call.
+    One add per window offset, on the cells where it reads the input,
+    taken in reverse, so that every input cell sums its terms in the
+    output cells' row-major order.  `MaxPool` builds each offset's terms
+    as they are added: stacking them first took one more large
+    allocation per call.
     """
     rows, cols, d, samples = shape
-    p = window.padding
-    # windows step one cell, so this is the padded input's shape
-    dxp = np.zeros((rows + window.height - 1, cols + window.width - 1, d, samples))
-    for k, (r, c) in reversed(list(enumerate(_window_offsets(window, rows, cols)))):
-        dxp[r, c] += term(k)
-    return dxp[p : dxp.shape[0] - p, p : dxp.shape[1] - p].transpose(3, 0, 1, 2)
+    # windows step one cell, so this is the input's shape
+    v, h = rows + window.height - 1 - 2 * window.padding, cols + window.width - 1 - 2 * window.padding
+    dx = np.zeros((v, h, d, samples))
+    for k, (reads, _) in reversed(list(enumerate(_clipped_offsets(window, v, h)))):
+        if reads:
+            dx[reads[1]] += term(k, reads[0])
+    return dx.transpose(3, 0, 1, 2)
 
 
 def _merge_filters(y: np.ndarray) -> np.ndarray:
@@ -231,10 +248,12 @@ def _block_gates(angles: np.ndarray, n_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Encoded:
-    """A batch as `QuantumConv` sees it: read-only phi of shape (3**n, rows,
-    cols, channels, samples), on the layer's output grid.  Indexing takes
-    samples, by slice or index array, so ``inputs[idx]`` is a mini-batch of
-    raw and encoded inputs alike."""
+    """A batch as a convolution's feature map sees it: read-only phi of
+    shape (features, rows, cols, channels, samples), on the layer's output
+    grid, with 3**n trig features per window for `QuantumConv` and the m*n
+    window values for `ClassicalConv`.  Indexing takes samples, by slice or
+    index array, into one C-contiguous copy, so ``inputs[idx]`` is a
+    mini-batch of raw and encoded inputs alike."""
 
     phi: np.ndarray
 
@@ -244,7 +263,7 @@ class Encoded:
     def __getitem__(self, idx) -> Encoded:
         if not isinstance(idx, slice) and np.ndim(idx) == 0:
             raise TypeError(f"index Encoded with a slice or an array of samples, got {idx!r}")
-        return Encoded(self.phi[..., idx])
+        return Encoded(np.take(self.phi, np.arange(self.phi.shape[-1])[idx], axis=-1))
 
 
 class QuantumConv:
@@ -336,7 +355,7 @@ class QuantumConv:
         dx = None
         if need_dx:
             dwin = 2.0 * _rotation_grad(coeffs.T @ u, phi, 3, n)  # d(2t)/dt = 2
-            dx = _overlap_add(dwin.__getitem__, self.window, dwin.shape[1:])
+            dx = _overlap_add(lambda k, cells: dwin[k][cells], self.window, dwin.shape[1:])
         return [dangles], dx
 
 
@@ -358,8 +377,15 @@ class ClassicalConv:
     def out_shape(self, input_shape):
         return output_shape(input_shape, self.window, self.filters)
 
+    def encode(self, xb: np.ndarray) -> Encoded:
+        """The windows of xb, the identity feature map; they depend on the input only."""
+        return Encoded(_windows(xb, self.window))
+
     def forward(self, xb: np.ndarray):
-        win = _windows(xb, self.window)
+        return self.forward_encoded(self.encode(xb))
+
+    def forward_encoded(self, enc: Encoded):
+        win = enc.phi
         # one 2-D product; @ on the 5-D stack would run a batch of tiny products
         z = self.weights.reshape(self.filters, -1) @ win.reshape(self.window.area, -1)
         np.maximum(z, 0.0, out=z)  # ReLU; backward's z > 0 mask is the same either side of it
@@ -374,18 +400,22 @@ class ClassicalConv:
         dx = None
         if need_dx:
             dwin = (self.weights.reshape(self.filters, -1).T @ u).reshape(win.shape)
-            dx = _overlap_add(dwin.__getitem__, self.window, win.shape[1:])
+            dx = _overlap_add(lambda k, cells: dwin[k][cells], self.window, win.shape[1:])
         return [dw], dx
 
 
 class MaxPool:
     """Per-channel max over each window; zero padding competes in the max.
 
-    The pool visits the m*n window offsets, each one slice of the
-    padded input.  Ties go to the first row-major position in the
-    window, which alone receives the gradient; a NaN in a window makes
-    that output NaN.  Backward takes the offsets in reverse, so every
-    input cell sums its terms in the output cells' row-major order.
+    The pool visits the m*n window offsets, each on the output cells
+    where it reads the input, and the zero padding at each cell's first
+    padding offset: a later one cannot change a max that is already
+    >= 0 or NaN.  Ties go to the first row-major position in the window,
+    which alone receives the gradient; a NaN in a window makes that
+    output NaN, and the gradient goes to the first maximum of the other
+    values unless the NaN is the window's first value.  Backward takes
+    the offsets in reverse, so every input cell sums its terms in the
+    output cells' row-major order.
     """
 
     def __init__(self, window: WindowSpec):
@@ -399,23 +429,38 @@ class MaxPool:
         return output_shape(input_shape, self.window)
 
     def forward(self, xb: np.ndarray):
-        first, *rest = _window_slices(xb, self.window)
-        out = first.copy()
+        rows, cols, _ = output_shape(xb.shape[1:], self.window)
+        x = xb.transpose(1, 2, 3, 0)  # already contiguous for the batches layers return
+        (reads, _), *rest = _clipped_offsets(self.window, *x.shape[:2])
+        out = np.zeros((rows, cols) + x.shape[2:])
+        # the value at argmax: a NaN never replaces it, and one at offset 0 is held as +inf
+        best = np.zeros(out.shape)
+        if reads:
+            out[reads[0]] = x[reads[1]]
+            np.fmin(x[reads[1]], np.inf, out=best[reads[0]])
         argmax = np.zeros(out.shape, dtype=np.min_scalar_type(self.window.area - 1))
-        for k, v in enumerate(rest, 1):
+
+        def update(k, cells, value):
+            o, b, a = out[cells], best[cells], argmax[cells]
             # k where strictly greater, with k increasing: the first maximum keeps a tie
-            np.maximum(argmax, np.multiply(v > out, k, dtype=argmax.dtype), out=argmax)
-            np.maximum(out, v, out=out)
-        cache = {"argmax": argmax}
-        return out.transpose(3, 0, 1, 2), cache
+            greater = np.greater(value, b).view(np.uint8)
+            np.maximum(a, np.multiply(greater, k, dtype=a.dtype), out=a)
+            np.fmax(b, value, out=b)
+            np.maximum(o, value, out=o)
+
+        for k, (reads, first_pad) in enumerate(rest, 1):
+            if reads:
+                update(k, reads[0], x[reads[1]])
+            if first_pad:
+                update(k, first_pad, 0.0)
+        return out.transpose(3, 0, 1, 2), {"argmax": argmax}
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
         if not need_dx:
             return [], None
         argmax, up = cache["argmax"], upstream.transpose(1, 2, 3, 0)
         # not np.where, ~3x slower here; they differ only on a non-finite upstream
-        term = np.empty_like(up)
-        dx = _overlap_add(lambda k: np.multiply(up, argmax == k, out=term), self.window, argmax.shape)
+        dx = _overlap_add(lambda k, cells: up[cells] * (argmax[cells] == k), self.window, argmax.shape)
         return [], dx
 
 
@@ -473,9 +518,9 @@ class Network:
         return [a for layer in self.layers for a in layer.params]
 
     def encode(self, images: np.ndarray):
-        """The images as the first layer takes them: `Encoded` for a `QuantumConv`."""
+        """The images as the first layer takes them: `Encoded` for a convolution."""
         first = self.layers[0]
-        return first.encode(images) if isinstance(first, QuantumConv) else images
+        return first.encode(images) if hasattr(first, "encode") else images
 
     def forward_batch(self, xb):
         """Forward a raw batch or one made by `encode` (or indexed from it)."""

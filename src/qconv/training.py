@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import ClassicalConv, Dense, MaxPool, Network, QuantumConv, WindowSpec, mse_loss_batch
+from .layers import (ClassicalConv, Dense, MaxPool, Network, QuantumConv, WindowSpec, mse_loss_batch,
+                     output_shape)
 from .tetris import GRID, Dataset, filter_labels, generate_dataset, split
 
 INPUT_SHAPE = (GRID, GRID, 1)
@@ -26,6 +27,11 @@ ARCHITECTURES = ("one-layer", "two-layer")
 LABEL_CHOICES = (2, 5)
 TWO_LABEL_CLASSES = ("S", "T")
 DEFAULT_SEEDS = tuple(range(10))
+
+# Largest first-layer encoding of a run's training and test sets, in bytes, that
+# `run_experiments` builds; a larger run fails at once instead of part way through
+# exhausting memory.
+MAX_ENCODED_BYTES = 2 * 2**30
 
 
 class TrainingDivergedError(RuntimeError):
@@ -218,8 +224,10 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
 
     Seeds run one after another.  Each seed's dataset, split and 2-label
     filter are built once and shared by every combination it trains, and
-    are released before the next seed's are built.  ``on_seed(index,
-    seed)``, if given, is called before each seed trains.
+    are released before the next seed's are built.  A run whose first-layer
+    encoding would exceed `MAX_ENCODED_BYTES` is refused before any data is
+    built.  ``on_seed(index, seed)``, if given, is called before each seed
+    trains.
     """
     combinations = tuple(dict.fromkeys(combinations))
     for model, architecture, labels in combinations:
@@ -229,6 +237,15 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
             )
         if labels not in LABEL_CHOICES:
             raise ValueError(f"labels must be one of {LABEL_CHOICES}, got {labels}")
+    # both architectures start with a CONV_WINDOW convolution, which encodes every image's
+    # windows as 3**n trig features (qccnn) or the n window values (cnn), 8 bytes each
+    features = max(3**CONV_WINDOW.area if model == "qccnn" else CONV_WINDOW.area
+                   for model, _, _ in combinations)
+    encoded = 8 * features * int(np.prod(output_shape(INPUT_SHAPE, CONV_WINDOW))) * n_images
+    if encoded > MAX_ENCODED_BYTES:
+        raise ValueError(f"{n_images} images: the first layer's encoded training and test sets "
+                         f"would take {encoded / 2**30:.2f} GiB, over the "
+                         f"{MAX_ENCODED_BYTES / 2**30:g} GiB limit")
 
     def run_seed(seed: int) -> list[list[MetricsRecord]]:
         ds_seed, split_seed, init_seed = seed_children(seed)

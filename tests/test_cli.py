@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,18 @@ def test_out_of_memory_is_runtime_error(tmp_path, monkeypatch, capsys, command, 
     monkeypatch.setattr(f"qconv.cli.{stubbed}", exhausted)
     assert main([*command, str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"runtime error: out of memory: {reason or 'allocation failed'}\n"
+
+
+def test_encoding_too_large_for_memory_is_config_error_before_any_data(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(training, "generate_dataset",
+                        lambda *args, **kwargs: pytest.fail("built data for a run that cannot fit"))
+    started = time.perf_counter()
+    code = main(["train", "--images", "2000000", "--iterations", "1", "--out-dir", str(tmp_path)])
+    assert code == 1 and time.perf_counter() - started < 1.0
+    # 81 trig features of 8 bytes for each of an image's 4 windows
+    assert capsys.readouterr().err == (
+        "config error: 2000000 images: the first layer's encoded training and test sets "
+        "would take 4.83 GiB, over the 2 GiB limit\n")
 
 
 def test_train_csv_floats_have_full_precision(tmp_path):

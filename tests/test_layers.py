@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qconv.layers as layers_module
@@ -383,18 +383,21 @@ def test_encoded_rejects_an_index_that_drops_the_sample_axis():
     assert enc[[0]].phi.shape == enc[0:1].phi.shape == (81, 2, 2, 1, 1)
 
 
-def benchmark_quantum_convs():
-    """Every QuantumConv of the benchmark networks with the input shape it takes."""
+def benchmark_encoding_convs():
+    """Every QuantumConv of the benchmark networks and their first ClassicalConvs, with
+    the input shape each takes."""
     one, two = (build_network("qccnn", arch, 5, seed=41).layers for arch in ("one-layer", "two-layer"))
-    return [(one[0], (3, 3, 1)), (two[0], (3, 3, 1)), (two[1], (2, 2, 2))]
+    cnn_one, cnn_two = (build_network("cnn", arch, 5, seed=41).layers for arch in ("one-layer", "two-layer"))
+    return [(one[0], (3, 3, 1)), (two[0], (3, 3, 1)), (two[1], (2, 2, 2)),
+            (cnn_one[0], (3, 3, 1)), (cnn_two[0], (3, 3, 1))]
 
 
 @settings(max_examples=40, deadline=None)
-@given(which=st.integers(0, 2), samples=st.integers(1, 7), data=st.data(),
+@given(which=st.integers(0, 4), samples=st.integers(1, 7), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def test_encoded_mini_batch_forwards_like_the_raw_rows(which, samples, data, seed):
     """Unsorted, repeated or sliced sample indices forward bit-for-bit like the raw rows."""
-    layer, in_shape = benchmark_quantum_convs()[which]
+    layer, in_shape = benchmark_encoding_convs()[which]
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples,) + in_shape)
     idx = data.draw(st.one_of(
         st.lists(st.integers(0, samples - 1), min_size=1, max_size=2 * samples).map(np.array),
@@ -402,6 +405,18 @@ def test_encoded_mini_batch_forwards_like_the_raw_rows(which, samples, data, see
     got, _ = layer.forward_encoded(layer.encode(x)[idx])
     want, _ = layer.forward(x[idx])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_encoded_mini_batch_is_one_contiguous_copy(model):
+    """An index array takes samples into one C-contiguous copy, which the first layer
+    forwards without copying it again."""
+    layer = build_network(model, "one-layer", 5, seed=42).layers[0]
+    enc = layer.encode(np.random.default_rng(43).random((80, 3, 3, 1)))
+    batch = enc[np.arange(40) * 2]
+    assert batch.phi.flags.c_contiguous and not batch.phi.flags.writeable
+    _, cache = layer.forward_encoded(batch)
+    assert np.shares_memory(cache["phi" if model == "qccnn" else "win"], batch.phi)
 
 
 def test_quantum_conv_keeps_no_state_between_calls():
@@ -413,15 +428,21 @@ def test_quantum_conv_keeps_no_state_between_calls():
         assert set(vars(layer)) == {"window", "filters", "depth", "angles"}
 
 
-def assert_phi_built_once_per_set(monkeypatch, batch_size: int):
-    """A 20-iteration one-layer run on 80 training images builds phi once per set."""
-    calls = count_trig_features(monkeypatch)
+def train_one_layer_on_80_images(model: str, batch_size: int) -> tuple:
+    """Train a one-layer network 20 iterations on 80 images; returns the training and
+    test sets."""
     train_set, test_set = split(generate_dataset(100, seed=36), 0.8, seed=37)
     assert len(train_set) == 80
-    net = build_network("qccnn", "one-layer", 5, seed=38)
+    net = build_network(model, "one-layer", 5, seed=38)
     config = TrainConfig(iterations=20, batch_size=batch_size, eval_every=10, seeds=(0,))
-    records = train(net, train_set, test_set, config)
-    assert [r.iteration for r in records] == [10, 20]
+    assert [r.iteration for r in train(net, train_set, test_set, config)] == [10, 20]
+    return train_set, test_set
+
+
+def assert_phi_built_once_per_set(monkeypatch, batch_size: int):
+    """A one-layer qccnn run builds phi once per set."""
+    calls = count_trig_features(monkeypatch)
+    train_set, test_set = train_one_layer_on_80_images("qccnn", batch_size)
     assert calls == [(4, 4 * len(train_set)), (4, 4 * len(test_set))]
 
 
@@ -431,6 +452,23 @@ def test_one_layer_training_builds_phi_once_per_fixed_set(monkeypatch):
 
 def test_one_layer_mini_batch_training_builds_phi_once_per_fixed_set(monkeypatch):
     assert_phi_built_once_per_set(monkeypatch, batch_size=40)
+
+
+def assert_windows_gathered_once_per_set(monkeypatch, batch_size: int):
+    """A one-layer cnn run gathers the first layer's windows once per set."""
+    calls, original = [], layers_module._windows
+    monkeypatch.setattr(layers_module, "_windows",
+                        lambda xb, window: calls.append(xb.shape) or original(xb, window))
+    train_set, test_set = train_one_layer_on_80_images("cnn", batch_size)
+    assert calls == [train_set.images.shape, test_set.images.shape]
+
+
+def test_one_layer_cnn_training_gathers_windows_once_per_fixed_set(monkeypatch):
+    assert_windows_gathered_once_per_set(monkeypatch, batch_size=0)
+
+
+def test_one_layer_cnn_mini_batch_training_gathers_windows_once_per_fixed_set(monkeypatch):
+    assert_windows_gathered_once_per_set(monkeypatch, batch_size=40)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +526,11 @@ def test_classical_conv_backward_matches_finite_differences():
 
 @st.composite
 def tiling_geometry(draw):
-    """A window of 1..3 x 1..3, padding 0..1, and an input (v, h) with 1..3 output rows and columns."""
-    m, n, padding = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
-    v = draw(st.integers(1, 3)) - 1 + m - 2 * padding
-    h = draw(st.integers(1, 3)) - 1 + n - 2 * padding
-    assume(v >= 1 and h >= 1)
+    """A window of 1..3 x 1..3, padding 0..2, and an input (v, h) of each side's three
+    smallest sizes that fit the padded window; with padding 2, some output cells read
+    only padding."""
+    m, n, padding = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    v, h = (draw(st.integers(low, low + 2)) for low in (max(1, m - 2 * padding), max(1, n - 2 * padding)))
     return WindowSpec(m, n, padding=padding), v, h
 
 
@@ -509,7 +547,7 @@ def test_scatter_windows_is_the_adjoint_of_windows(geometry, samples, channels, 
     rows, cols, _ = output_shape(x.shape[1:], window)
     assert win.shape == (window.area, rows, cols, channels, samples)
     g = rng.standard_normal(win.shape)
-    scattered = (_overlap_add(g.__getitem__, window, win.shape[1:]) * x).sum()
+    scattered = (_overlap_add(lambda k, cells: g[k][cells], window, win.shape[1:]) * x).sum()
     assert (g * win).sum() == pytest.approx(scattered, rel=1e-12, abs=1e-12)
 
 
@@ -607,8 +645,12 @@ def test_pool_nan_in_window_reaches_its_output_cell():
 def test_pool_matches_loop_oracles_exactly_on_any_geometry(geometry, samples, channels, seed):
     window, v, h = geometry
     rng = np.random.default_rng(seed)
-    # a small integer grid, so that inputs tie with each other and with the padding
+    # a small integer grid, so that inputs tie with each other and with the padding,
+    # with some NaN and -0.0 among them
     x = rng.integers(-2, 3, (samples, v, h, channels)).astype(float)
+    special = rng.random(x.shape)
+    x[special < 0.1] = np.nan
+    x[(special >= 0.1) & (special < 0.2)] = -0.0
     pool = MaxPool(window)
     out, cache = pool.forward(x)
     # magnitudes far apart, so that a cell's sum depends on the order of its terms
