@@ -41,8 +41,9 @@ polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
 the layer computes the circuit-dependent coefficients once per call and
 evaluates every window with one matrix product.  phi, the parity, the
 Pauli basis and the Ry layers are each one tensor product over qubits
-(`_products`); both gradients use one Ry derivative, d/dt turning a
-qubit's (cos t, sin t) into (-sin t, cos t) (`_rotation_grad`).  This is
+(`_products`).  Both gradients use one Ry derivative, d/dt turning a
+qubit's (cos t, sin t) into (-sin t, cos t), a signed slot swap whose
+transpose goes to the coefficients (`_slot_swaps`), not to phi.  This is
 the only circuit evaluator; the tests check it against dense-matrix
 oracles, and ``qconv gradcheck`` checks its gradients against finite
 differences.  phi depends only on the input, as do `ClassicalConv`'s
@@ -180,16 +181,22 @@ def _products(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_grad(v: np.ndarray, p: np.ndarray, k: int, n: int) -> np.ndarray:
-    """``sum_j v_j dp_j/dt_q`` for each qubit q, where p (k**n, ...) is `_products` of factors
-    whose last two of k slots are (cos t_q, sin t_q), which d/dt_q turns into (-sin, cos)."""
-    rest = int(np.prod(p.shape[1:]))
-    grad = np.empty((n, rest))
-    for q in range(n):
-        vq, pq = (a.reshape(k**q, k, k ** (n - 1 - q), rest) for a in (v, p))
-        grad[q] = (np.einsum("ajw,ajw->w", vq[:, k - 1], pq[:, k - 2])
-                   - np.einsum("ajw,ajw->w", vq[:, k - 2], pq[:, k - 1]))
-    return grad.reshape((n,) + p.shape[1:])
+@functools.lru_cache(maxsize=None)
+def _slot_swaps(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """d/dt_q on `_products` whose last two of k slots per qubit are (cos t_q, sin t_q), as
+    read-only (n, k**n) tables: ``sum_j v_j dp_j/dt_q = sum_i sign[q, i] v[perm[q, i]] p_i``."""
+    place = k ** np.arange(n - 1, -1, -1)[:, None]
+    slot = np.arange(k**n) // place % k  # (n, k**n): each index's slot on each qubit
+    sign = (slot == k - 2) * 1.0 - (slot == k - 1)  # the (cos, sin) -> (-sin, cos) pair, transposed
+    perm = np.arange(k**n) + place * sign.astype(int)  # a leading 1 has sign 0 and stays
+    perm.flags.writeable = sign.flags.writeable = False
+    return perm, sign
+
+
+def _rotated(v: np.ndarray, k: int, n: int) -> np.ndarray:
+    """`_slot_swaps`' ``sign * v[..., perm]``: (..., k**n) -> (..., n, k**n), one row per qubit."""
+    perm, sign = _slot_swaps(k, n)
+    return sign * v[..., perm]
 
 
 def _operator_products(single: np.ndarray, n: int) -> np.ndarray:
@@ -221,9 +228,12 @@ def _trig_features(t: np.ndarray) -> np.ndarray:
     return _products(np.stack((np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)), axis=1))
 
 
-def _parity_signs(n: int) -> np.ndarray:
-    """(-1)**popcount(index) for every basis index: the diagonal of Z on every qubit."""
-    return _products(np.tile([1.0, -1.0], (n, 1)))
+@functools.lru_cache(maxsize=None)
+def _parity(n_qubits: int) -> np.ndarray:
+    """Z on every qubit, the observable read out: read-only, diagonal (-1)**popcount(index)."""
+    parity = np.diag(_products(np.tile([1.0, -1.0], (n_qubits, 1))))
+    parity.flags.writeable = False
+    return parity
 
 
 def _ladder_permutation(n: int) -> np.ndarray:
@@ -243,7 +253,13 @@ def _ry_products(angles: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def _block_gates(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     """Ladder times Ry layer for every block and filter: (depth, filters, dim, dim)."""
-    return np.tensordot(_ry_products(angles, n_qubits), _gate_basis(n_qubits), axes=(0, 0))
+    return _gates(_ry_products(angles, n_qubits), n_qubits)
+
+
+def _gates(ry: np.ndarray, n_qubits: int) -> np.ndarray:
+    """`_block_gates` from the `_ry_products`, (2**n, depth, filters), as one 2-D product."""
+    gates = ry.reshape(2**n_qubits, -1).T @ _gate_basis(n_qubits).reshape(2**n_qubits, -1)
+    return gates.reshape(ry.shape[1:] + (2**n_qubits,) * 2)
 
 
 @dataclass(frozen=True)
@@ -279,13 +295,14 @@ class QuantumConv:
     observable pulled back through the circuit.
 
     Forward is one ``C @ Phi`` product over all windows.  The input
-    gradient differentiates phi's cos/sin factors.  The angle gradient
-    is taken in adjoint order: the upstream gradient, contracted with
-    phi and lifted to one matrix per filter, is carried forward through
-    the blocks once; at each block it and the pulled-back parity
-    observable weight the Ry layer's cos/sin products.  Both gradients
-    satisfy the quarter-turn shift rule ``df/dt = f(t + pi/4) -
-    f(t - pi/4)`` exactly, which the tests check.  ``forward(x)`` is
+    gradient rotates C by each qubit's slot swap, then multiplies by Phi.
+    The angle gradient is taken in adjoint order: the upstream gradient,
+    contracted with phi and lifted to one matrix per filter, is carried
+    forward through the blocks once; at each block it and the parity
+    observable pulled back to the block's output weight the Ry layer's
+    cos/sin products, which the same slot swap turns into angles.  Both
+    gradients satisfy the quarter-turn shift rule ``df/dt = f(t + pi/4)
+    - f(t - pi/4)`` exactly, which the tests check.  ``forward(x)`` is
     ``forward_encoded(encode(x))``.
     """
 
@@ -322,39 +339,45 @@ class QuantumConv:
 
     def forward_encoded(self, enc: Encoded):
         n = self.window.area
-        gates = _block_gates(self.angles, n)
+        ry = _ry_products(self.angles, n)
+        gates = _gates(ry, n)
         # parity observable pulled back through blocks depth-1 .. 0; observables[b]
-        # is what the state entering block b is measured against
+        # is what the state leaving block b is measured against
         observables = np.empty((self.depth, self.filters, 2**n, 2**n))
-        obs = np.broadcast_to(np.diag(_parity_signs(n)), (self.filters, 2**n, 2**n))
+        obs = np.broadcast_to(_parity(n), (self.filters, 2**n, 2**n))
         for block in range(self.depth - 1, -1, -1):
-            obs = observables[block] = np.swapaxes(gates[block], -1, -2) @ obs @ gates[block]
+            observables[block] = obs
+            obs = np.swapaxes(gates[block], -1, -2) @ obs @ gates[block]
         coeffs = obs.reshape(self.filters, -1) @ _pauli_basis(n).T / 2**n  # sum(O * P) = Tr(O P)
         phi = enc.phi.reshape(3**n, -1)
         out = _merge_filters((coeffs @ phi).reshape((self.filters,) + enc.phi.shape[1:]))
-        cache = {"phi": phi.reshape(enc.phi.shape), "coeffs": coeffs, "gates": gates,
+        cache = {"phi": phi.reshape(enc.phi.shape), "coeffs": coeffs, "ry": ry, "gates": gates,
                  "observables": observables}
         return out, cache
 
     def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
-        phi, coeffs = cache["phi"], cache["coeffs"]
         n = self.window.area
+        phi, coeffs, ry = cache["phi"].reshape(3**n, -1), cache["coeffs"], cache["ry"]
         u = _split_filters(upstream, self.filters)
 
-        # sum_w u_fw f_f(x_w) = 2**-n Tr(O_b M_b), M_b the upstream-weighted encoded densities
-        # carried to block b; its derivative in g_b is 2**(1-n) g_b O_b M_b, per {I, G}^n product
-        weights = np.empty((2**n, self.depth, self.filters))
-        m = (u @ phi.reshape(3**n, -1).T @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
-        gate_basis = _gate_basis(n).reshape(2**n, 4**n)
+        # sum_w u_fw f_f(x_w) = 2**-n Tr(O_b g_b M_b g_b^T), M_b the upstream-weighted encoded
+        # densities carried to block b; its derivative in g_b is 2**(1-n) O_b g_b M_b
+        m = (u @ phi.T @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
+        adjoint = np.empty((self.depth, self.filters, 2**n, 2**n))
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
-            weights[:, block] = gate_basis @ (g @ z @ m).reshape(self.filters, 4**n).T
-            m = g @ m @ np.swapaxes(g, -1, -2)
-        dangles = _rotation_grad(weights / 2 ** (n - 1), _ry_products(self.angles, n), 2, n)
-        dangles = dangles.transpose(2, 1, 0).reshape(self.angles.shape)
+            gm = g @ m
+            adjoint[block] = z @ gm
+            m = gm @ np.swapaxes(g, -1, -2)
+        # read off per {I, G}^n product, then per angle through the rotated Ry products
+        weights = adjoint.reshape(-1, 4**n) @ _gate_basis(n).reshape(2**n, 4**n).T / 2 ** (n - 1)
+        dangles = np.einsum("cqj,jc->cq", _rotated(weights, 2, n), ry.reshape(2**n, -1))
+        dangles = dangles.reshape(self.depth, self.filters, n).swapaxes(0, 1).reshape(self.angles.shape)
 
         dx = None
         if need_dx:
-            dwin = 2.0 * _rotation_grad(coeffs.T @ u, phi, 3, n)  # d(2t)/dt = 2
+            # rotate the coefficients, not the 3**n x windows features; d(2t)/dt = 2
+            dphi = (_rotated(2.0 * coeffs, 3, n).reshape(-1, 3**n) @ phi).reshape(self.filters, n, -1)
+            dwin = np.einsum("fqw,fw->qw", dphi, u).reshape((n,) + cache["phi"].shape[1:])
             dx = _overlap_add(lambda k, cells: dwin[k][cells], self.window, dwin.shape[1:])
         return [dangles], dx
 

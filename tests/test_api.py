@@ -56,3 +56,6 @@ def test_removed_names_are_gone():
     assert [f.name for f in dataclasses.fields(qconv.layers.Encoded)] == ["phi"]
     assert [f.name for f in dataclasses.fields(qconv.ExperimentResult)] == ["seeds", "per_seed"]
     assert not hasattr(training, "_mean_records")
+    # the Ry derivative is one signed slot swap on the coefficients' side, with no
+    # per-window derivative of phi or of the Ry products beside it
+    assert not hasattr(qconv.layers, "_rotation_grad")

@@ -22,8 +22,10 @@ from qconv.layers import (
     WindowSpec,
     _gate_basis,
     _overlap_add,
+    _parity,
     _pauli_basis,
-    _rotation_grad,
+    _rotated,
+    _slot_swaps,
     _windows,
     mse_loss_batch,
     output_shape,
@@ -206,8 +208,9 @@ def test_quantum_conv_single_window_matches_shift_rule():
 
 def test_quantum_conv_backward_matches_per_window_accumulation():
     rng = np.random.default_rng(5)
-    for window in (WIN, WindowSpec(2, 3)):
-        m, n = window.height, window.width
+    # with padding, the input gradient's overlap-add clips each window to the input
+    for window in (WIN, WindowSpec(2, 3), WindowSpec(2, 2, padding=1), WindowSpec(2, 3, padding=1)):
+        m, n, p = window.height, window.width, window.padding
         layer = QuantumConv(window, filters=2, depth=3, rng=rng)
         x = rng.random((2, 3, n + 1, 2))
         out, cache = layer.forward(x)
@@ -216,7 +219,7 @@ def test_quantum_conv_backward_matches_per_window_accumulation():
         cells = [(s, i, j, c, values) for s in range(2)
                  for i, j, c, values in oracles.windows(x[s], window)]
         want_angles = np.empty_like(dangles)
-        want_dx = np.zeros_like(x)
+        want_dx = np.pad(np.zeros_like(x), ((0, 0), (p, p), (p, p), (0, 0)))
         for f in range(2):
 
             def weighted_output(params):  # the shift rule is linear, so shift the window sum
@@ -230,7 +233,7 @@ def test_quantum_conv_backward_matches_per_window_accumulation():
                 grad = upstream[s, i, j, c * 2 + f] * oracles.shift_difference(feature, values)
                 want_dx[s, i : i + m, j : j + n, c] += grad.reshape(m, n)
         np.testing.assert_allclose(dangles, want_angles, atol=1e-12)
-        np.testing.assert_allclose(dx, want_dx, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx[:, p : p + 3, p : p + n + 1], atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -307,14 +310,19 @@ def count_trig_features(monkeypatch) -> list:
 
 
 def test_pauli_basis_is_built_once_and_read_only():
-    for basis, shape in ((_pauli_basis, (9, 16)), (_gate_basis, (4, 4, 4))):
-        built = basis(2)
-        assert basis(2) is built
-        assert built.shape == shape
-        # BLAS rounds differently over other memory layouts, and outputs are pinned to the bit
-        assert built.flags.c_contiguous
-        with pytest.raises(ValueError):
-            built[0, 0] = 2.0
+    # and the other circuit constants: the gate basis, the parity, both paths' slot-swap tables
+    for build, args, shapes in ((_pauli_basis, (2,), [(9, 16)]), (_gate_basis, (2,), [(4, 4, 4)]),
+                                (_parity, (2,), [(4, 4)]), (_slot_swaps, (2, 2), [(2, 4)] * 2),
+                                (_slot_swaps, (3, 2), [(2, 9)] * 2)):
+        built = build(*args)
+        assert build(*args) is built
+        for table, shape in zip(built if isinstance(built, tuple) else [built], shapes, strict=True):
+            assert table.shape == shape
+            # BLAS rounds differently over other memory layouts, and outputs are pinned to the bit
+            assert table.flags.c_contiguous
+            with pytest.raises(ValueError):
+                table[0, 0] = 2
+    np.testing.assert_array_equal(_parity(2), np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
@@ -344,7 +352,8 @@ def test_rotation_grad_matches_dense_derivatives(slots, n_qubits):
     want = [[v[:, w] @ functools.reduce(np.kron, [(dfactor if r == q else factor)[:, r, w]
                                                   for r in range(n_qubits)])
              for w in range(5)] for q in range(n_qubits)]
-    np.testing.assert_allclose(_rotation_grad(v, p, slots, n_qubits), want, rtol=1e-12, atol=1e-12)
+    got = np.einsum("wqj,jw->qw", _rotated(v.T, slots, n_qubits), p)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():
@@ -847,9 +856,10 @@ def test_network_gradients_match_pinned_file(encode):
 
     Regenerate the file, and say in CHANGES.md why and by how much it moved, with
     ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_layers.py``.  It was
-    written on a 2-CPU Intel Xeon with numpy's bundled OpenBLAS.  A match under a
-    different BLAS kernel is unverified, so read a failure there as a question
-    about the host first.
+    written on a 2-CPU Intel Xeon with numpy's bundled OpenBLAS, whose SkylakeX kernel
+    ran.  Under its Prescott and Haswell kernels (``OPENBLAS_CORETYPE``) the file
+    matched within 1e-15 when this was written; a larger deviation on another host
+    can still be its BLAS, so say which kernel ran.
     """
     pinned = json.loads(PINNED_GRADIENTS.read_text())
     got = benchmark_network_gradients(encode)

@@ -13,7 +13,7 @@ from qconv.layers import (
     WindowSpec,
     _block_gates,
     _ladder_permutation,
-    _parity_signs,
+    _parity,
     _trig_features,
 )
 
@@ -176,7 +176,7 @@ def test_circuit_preserves_norm_over_100_blocks():
     pytest.param(np.full(16, 1 / 16), 0.0, id="uniform_superposition_is_zero"),
 ])
 def test_parity_expectation_on_four_qubits(probabilities, want):
-    assert _parity_signs(4) @ probabilities == want
+    assert np.diag(_parity(4)) @ probabilities == want
 
 
 # ---------------------------------------------------------------------------
