@@ -41,7 +41,7 @@ polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
 the layer computes the circuit-dependent coefficients once per call and
 evaluates every window with one matrix product.  phi, the parity, the
 Pauli basis and the Ry layers are each one tensor product over qubits
-(`_products`).  Both gradients use one Ry derivative, d/dt turning a
+(`_products`; phi fills its own rows, `_trig_features`).  Both gradients use one Ry derivative, d/dt turning a
 qubit's (cos t, sin t) into (-sin t, cos t), a signed slot swap whose
 transpose goes to the coefficients (`_slot_swaps`), not to phi.  This is
 the only circuit evaluator; the tests check it against dense-matrix
@@ -50,6 +50,18 @@ differences.  phi depends only on the input, as do `ClassicalConv`'s
 windows, so a fixed set is encoded once through the first convolution
 (`encode`, `Network.encode`) and the `Encoded` value, or any
 mini-batch indexed from it, is forwarded with `forward_encoded`.
+
+The three products with phi grow with the window count: forward's
+``C @ phi``, the angle gradient's ``u @ phi.T`` and the input gradient's
+rotated-coefficient product.  `_phi_product` takes each in blocks of
+windows, one BLAS call per block, with M*N*K under `BLAS_ONE_THREAD_SIZE`.
+Numpy's bundled OpenBLAS (0.3.31) runs a dgemm on one thread exactly
+while M*N*K < 2**19 under its Haswell and Prescott kernels (at 5 x 81,
+1,294 windows on one thread, 1,295 on two), and up to about 10**6 on
+its SkylakeX small-matrix path.  A second thread gains these products no
+wall time and spins between calls, doubling CPU time; blocked, training
+runs on one core.  At 1,000 images every other product here has M*N*K
+of at most ~10**5.
 """
 
 from __future__ import annotations
@@ -62,6 +74,9 @@ import numpy as np
 # Largest window QuantumConv accepts: its features have 3**n entries per window
 # and its {I, Z, X}^n basis 12**n entries, so memory grows steeply past this.
 MAX_WINDOW_QUBITS = 6
+
+# OpenBLAS runs a dgemm of M*N*K below this on one thread (see above, on the phi products).
+BLAS_ONE_THREAD_SIZE = 2**19
 
 
 @dataclass(frozen=True)
@@ -175,8 +190,8 @@ _RY_IG = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]])
 def _products(factors: np.ndarray) -> np.ndarray:
     """Every product of one factor per qubit, qubit 0 leftmost: (n, k, ...) -> (k**n, ...)."""
     k, rest = factors.shape[1], factors.shape[2:]
-    out = np.ones((1,) + rest)
-    for factor in factors:
+    out = factors[0]
+    for factor in factors[1:]:
         out = (out[:, None] * factor).reshape((out.shape[0] * k,) + rest)
     return out
 
@@ -223,9 +238,40 @@ def _gate_basis(n_qubits: int) -> np.ndarray:
     return basis
 
 
+def _phi_product(a: np.ndarray, phi: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``a @ phi``, or ``a @ phi.T`` if adjoint, for phi of shape (features, W), in blocks of
+    windows small enough that every BLAS call has ``rows * features * block`` under
+    `BLAS_ONE_THREAD_SIZE`.  The adjoint sums its blocks in order; W within one block is
+    one call."""
+    rows, (features, windows) = a.shape[0], phi.shape
+    block = max(1, (BLAS_ONE_THREAD_SIZE - 1) // (rows * features))
+    if adjoint:
+        out = a[:, :block] @ phi[:, :block].T
+        for start in range(block, windows, block):
+            out += a[:, start : start + block] @ phi[:, start : start + block].T
+        return out
+    out = np.empty((rows, windows))
+    for start in range(0, windows, block):
+        np.matmul(a, phi[:, start : start + block], out=out[:, start : start + block])
+    return out
+
+
 def _trig_features(t: np.ndarray) -> np.ndarray:
-    """phi(x) = (x)_q (1, cos 2t_q, sin 2t_q), qubit 0 leftmost: (n, W) -> (3**n, W)."""
-    return _products(np.stack((np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)), axis=1))
+    """phi(x) = (x)_q (1, cos 2t_q, sin 2t_q), qubit 0 leftmost: (n, W) -> (3**n, W).
+
+    Built in its own rows, with no partial product allocated: as every factor's slot 0
+    is 1, qubits 0..q-1's products are the rows of phi whose later qubits are all in
+    slot 0, and qubit q's cos and sin slots are filled from them in place."""
+    n, rest = t.shape[0], t.shape[1:]
+    t2 = 2.0 * t
+    cos, sin = np.cos(t2), np.sin(t2)
+    phi = np.empty((3**n,) + rest)
+    phi[0] = 1.0
+    for q in range(n):
+        level = phi.reshape((3**q, 3, 3 ** (n - q - 1)) + rest)[:, :, 0]
+        np.multiply(level[:, 0], cos[q], out=level[:, 1])
+        np.multiply(level[:, 0], sin[q], out=level[:, 2])
+    return phi
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,7 +396,7 @@ class QuantumConv:
             obs = np.swapaxes(gates[block], -1, -2) @ obs @ gates[block]
         coeffs = obs.reshape(self.filters, -1) @ _pauli_basis(n).T / 2**n  # sum(O * P) = Tr(O P)
         phi = enc.phi.reshape(3**n, -1)
-        out = _merge_filters((coeffs @ phi).reshape((self.filters,) + enc.phi.shape[1:]))
+        out = _merge_filters(_phi_product(coeffs, phi).reshape((self.filters,) + enc.phi.shape[1:]))
         cache = {"phi": phi.reshape(enc.phi.shape), "coeffs": coeffs, "ry": ry, "gates": gates,
                  "observables": observables}
         return out, cache
@@ -362,7 +408,7 @@ class QuantumConv:
 
         # sum_w u_fw f_f(x_w) = 2**-n Tr(O_b g_b M_b g_b^T), M_b the upstream-weighted encoded
         # densities carried to block b; its derivative in g_b is 2**(1-n) O_b g_b M_b
-        m = (u @ phi.T @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
+        m = (_phi_product(u, phi, adjoint=True) @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
         adjoint = np.empty((self.depth, self.filters, 2**n, 2**n))
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
             gm = g @ m
@@ -376,7 +422,8 @@ class QuantumConv:
         dx = None
         if need_dx:
             # rotate the coefficients, not the 3**n x windows features; d(2t)/dt = 2
-            dphi = (_rotated(2.0 * coeffs, 3, n).reshape(-1, 3**n) @ phi).reshape(self.filters, n, -1)
+            rotated = _rotated(2.0 * coeffs, 3, n).reshape(-1, 3**n)
+            dphi = _phi_product(rotated, phi).reshape(self.filters, n, -1)
             dwin = np.einsum("fqw,fw->qw", dphi, u).reshape((n,) + cache["phi"].shape[1:])
             dx = _overlap_add(lambda k, cells: dwin[k][cells], self.window, dwin.shape[1:])
         return [dangles], dx

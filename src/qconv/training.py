@@ -140,6 +140,13 @@ def evaluate(net: Network, inputs, labels: np.ndarray, onehot: np.ndarray):
     return correct / labels.size, mse_loss_batch(pred, onehot)[0]
 
 
+def _check_not_empty(train_set: Dataset, test_set: Dataset) -> None:
+    if not len(train_set):
+        raise ValueError("cannot train on an empty training set")
+    if not len(test_set):
+        raise ValueError("cannot evaluate on an empty test set")
+
+
 def train(net: Network, train_set: Dataset, test_set: Dataset,
           config: TrainConfig) -> list[MetricsRecord]:
     """Run the iteration loop; metrics are recorded after the update at every
@@ -147,10 +154,7 @@ def train(net: Network, train_set: Dataset, test_set: Dataset,
     encoded through the first layer once; mini-batches index the encoded
     training set.  Overflow inside a diverging run is not warned about:
     the non-finite loss it leads to raises `TrainingDivergedError`."""
-    if not len(train_set):
-        raise ValueError("cannot train on an empty training set")
-    if not len(test_set):
-        raise ValueError("cannot evaluate on an empty test set")
+    _check_not_empty(train_set, test_set)
     targets = _onehot(train_set.labels, net.n_classes)
     test_onehot = _onehot(test_set.labels, net.n_classes)
     inputs, test_inputs = net.encode(train_set.images), net.encode(test_set.images)
@@ -223,11 +227,11 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
     """Train each (model, architecture, labels) combination over all seeds.
 
     Seeds run one after another.  Each seed's dataset, split and 2-label
-    filter are built once and shared by every combination it trains, and
-    are released before the next seed's are built.  A run whose first-layer
-    encoding would exceed `MAX_ENCODED_BYTES` is refused before any data is
-    built.  ``on_seed(index, seed)``, if given, is called before each seed
-    trains.
+    filter are built once, for every seed before the first trains, and
+    shared by every combination the seed trains, so a run with an empty set
+    is refused before any training.  A run whose first-layer encoding would
+    exceed `MAX_ENCODED_BYTES` is refused before any data is built.
+    ``on_seed(index, seed)``, if given, is called before each seed trains.
     """
     combinations = tuple(dict.fromkeys(combinations))
     for model, architecture, labels in combinations:
@@ -247,27 +251,35 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
                          f"would take {encoded / 2**30:.2f} GiB, over the "
                          f"{MAX_ENCODED_BYTES / 2**30:g} GiB limit")
 
-    def run_seed(seed: int) -> list[list[MetricsRecord]]:
-        ds_seed, split_seed, init_seed = seed_children(seed)
+    def named(exc: Exception, seed: int, model: str, architecture: str, labels: int) -> Exception:
+        return type(exc)(f"{model} {architecture} {labels}-label, seed {seed}: {exc}")
+
+    def seed_sets(seed: int) -> dict[int, tuple[Dataset, Dataset]]:
+        ds_seed, split_seed, _ = seed_children(seed)
         train_set, test_set = split(generate_dataset(n_images, ds_seed), 0.8, split_seed)
         sets = {5: (train_set, test_set)}
         if any(labels == 2 for _, _, labels in combinations):
             sets[2] = (filter_labels(train_set, TWO_LABEL_CLASSES),
                        filter_labels(test_set, TWO_LABEL_CLASSES))
-        runs = []
-        for model, architecture, labels in combinations:
-            net = build_network(model, architecture, labels, init_seed)
+        for combination in combinations:
             try:
-                runs.append(train(net, *sets[labels], config))
-            except (TrainingDivergedError, ValueError) as exc:  # e.g. an empty filtered set
-                raise type(exc)(f"{model} {architecture} {labels}-label, seed {seed}: {exc}") from exc
-        return runs
+                _check_not_empty(*sets[combination[2]])
+            except ValueError as exc:  # e.g. a 2-label filter of a few images
+                raise named(exc, seed, *combination) from exc
+        return sets
 
+    # about 72 KB per 1,000 images and seed, so every seed's sets are kept from the start
+    all_sets = [seed_sets(seed) for seed in config.seeds]
     per_seed: dict[tuple[str, str, int], list] = {c: [] for c in combinations}
-    for index, seed in enumerate(config.seeds):
+    for index, (seed, sets) in enumerate(zip(config.seeds, all_sets)):
         if on_seed is not None:
             on_seed(index, seed)
-        for combination, records in zip(combinations, run_seed(seed)):
-            per_seed[combination].append(records)
+        init_seed = seed_children(seed)[2]
+        for combination in combinations:
+            net = build_network(*combination, init_seed)
+            try:
+                per_seed[combination].append(train(net, *sets[combination[2]], config))
+            except (TrainingDivergedError, ValueError) as exc:
+                raise named(exc, seed, *combination) from exc
     return {combination: ExperimentResult(tuple(config.seeds), runs)
             for combination, runs in per_seed.items()}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qconv import layers, training
+from qconv import cli, layers, training
 from qconv.cli import (
     ExperimentConfig,
     build_parser,
@@ -420,6 +420,20 @@ def test_empty_set_names_the_run(tmp_path, capsys, command, err):
     assert capsys.readouterr().err == f"config error: {err}\n"
 
 
+def test_late_empty_set_fails_before_the_first_seed_trains(tmp_path, capsys, monkeypatch):
+    # seed 0's sets are all non-empty; seed 1's 2-label test set is empty
+    started = []
+    run_experiments = training.run_experiments
+    monkeypatch.setattr(cli, "run_experiments", lambda *args: run_experiments(
+        *args, on_seed=lambda index, seed: started.append(seed)))
+    monkeypatch.setattr(training, "train", lambda *args: pytest.fail("trained"))
+    command = ["train", "--images", "5", "--iterations", "1", "--seeds", "2", "--eval-every", "1"]
+    assert main([*command, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: qccnn one-layer 2-label, seed 1: cannot evaluate on an empty test set\n")
+    assert started == []
+
+
 def test_repro_identical_configs_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -493,6 +507,44 @@ def test_repro_matches_pinned_panels_under_another_blas_kernel(tmp_path):
                          env=env, check=True, capture_output=True, text=True)
     assert "Core: Katmai" in run.stdout + run.stderr  # the kernel really was switched
     assert_matches_pinned_panels(tmp_path)
+
+
+# Trains the one-layer 5-label QCCNN, whose 5 x 81 x 3,200 phi products would run on two
+# OpenBLAS threads in one call, and prints process CPU time over wall time.
+TIME_TRAINING = """
+import time
+from qconv.tetris import generate_dataset, split
+from qconv.training import TrainConfig, build_network, train
+train_set, test_set = split(generate_dataset(1000, 1), 0.8, 2)
+net = build_network("qccnn", "one-layer", 5, 3)
+time.sleep(0.2)  # OpenBLAS's threads spin for about 70 ms after they start, at import
+cpu, wall = time.process_time(), time.perf_counter()
+train(net, train_set, test_set, TrainConfig(iterations=20))
+print((time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no second thread on one CPU")
+@pytest.mark.parametrize("coretype", [
+    pytest.param(None, id="default-kernel", marks=pytest.mark.skipif(
+        openblas_config() is None, reason="needs numpy linked to OpenBLAS, whose thread bound this is")),
+    pytest.param("Haswell", id="haswell", marks=pytest.mark.skipif(
+        "DYNAMIC_ARCH" not in (openblas_config() or ""),
+        reason="needs numpy linked to a DYNAMIC_ARCH OpenBLAS, which can pick another kernel")),
+])
+def test_quantum_training_keeps_blas_on_one_thread(coretype):
+    # a fresh process, so no BLAS thread is left spinning from earlier tests; the default
+    # SkylakeX kernel keeps products up to 10**6 on one thread, Haswell only those under 2**19
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if not key.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if coretype:
+        env.update({"OPENBLAS_CORETYPE": coretype, "OPENBLAS_VERBOSE": "2"})
+    run = subprocess.run([sys.executable, "-c", TIME_TRAINING], env=env, check=True,
+                         capture_output=True, text=True)
+    if coretype:
+        assert f"Core: {coretype}" in run.stdout + run.stderr
+    assert float(run.stdout.split()[-1]) <= 1.3
 
 
 def test_repro_is_byte_identical_across_blas_thread_counts(tmp_path):

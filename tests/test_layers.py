@@ -24,6 +24,7 @@ from qconv.layers import (
     _overlap_add,
     _parity,
     _pauli_basis,
+    _phi_product,
     _rotated,
     _slot_swaps,
     _windows,
@@ -299,6 +300,45 @@ def test_quantum_conv_gradient_scatter_conserves_window_sums():
                 lambda w: oracles.feature(layer.angles[f], w), values)
             total += (upstream[0, i, j, c * 2 + f] * grad).sum()
     assert dx.sum() == pytest.approx(total, abs=1e-10)
+
+
+class MatmulShapes(np.ndarray):
+    """An array whose matrix products, and theirs, record their operand shapes in ``calls``."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, MatmulShapes) else x for x in inputs]
+        if ufunc is np.matmul:
+            MatmulShapes.calls.append(tuple(x.shape for x in plain))
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("rows", range(1, 13))
+def test_phi_product_blocks_windows_under_the_blas_thread_bound(rows, adjoint):
+    features, bound = 81, layers_module.BLAS_ONE_THREAD_SIZE
+    block = (bound - 1) // (rows * features)
+    rng = np.random.default_rng(rows)
+    for windows in (1, block - 1, block, block + 1, 3 * block + 7):
+        phi = rng.uniform(-1.0, 1.0, (features, windows))
+        a = rng.standard_normal((rows, windows if adjoint else features))
+        MatmulShapes.calls = []
+        got = _phi_product(a.view(MatmulShapes), phi, adjoint)
+        want = a @ phi.T if adjoint else a @ phi
+        assert got.shape == want.shape
+        if windows <= block:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # relative to the summed terms' magnitude: a reordered sum of signed terms moves by
+            # rounding of the terms, which can exceed the rounding of a sum that cancels
+            scale = np.abs(a) @ np.abs(phi.T if adjoint else phi)
+            assert np.abs(got - want).max() <= 1e-15 * scale.max()
+        assert len(MatmulShapes.calls) == -(-windows // block)
+        for left, right in MatmulShapes.calls:
+            assert left[0] * left[1] * right[1] < bound
 
 
 def count_trig_features(monkeypatch) -> list:
