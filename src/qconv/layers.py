@@ -12,10 +12,7 @@ Windows are gathered in (offset, rows, cols, channels, samples) order,
 and gradients scatter back from it: with samples innermost, numpy's
 inner loops run over samples, not over 1-6 channels.  Batches pass
 between layers as (samples, rows, cols, channels) views of samples-last
-memory.  Convolution layers apply every
-filter to every input channel independently; input channel c under
-filter f lands on output channel ``c * filters + f`` (`_merge_filters`),
-giving ``d * k`` channels.
+memory.
 
 `QuantumConv`'s circuit has one qubit per window value, row-major, and
 depth D is D blocks of
@@ -41,19 +38,16 @@ polynomial of the window values, ``c_f . phi(x)`` with 3**n terms, so
 the layer computes the circuit-dependent coefficients once per call and
 evaluates every window with one matrix product.  phi, the parity, the
 Pauli basis and the Ry layers are each one tensor product over qubits
-(`_products`; phi fills its own rows, `_trig_features`).  Both gradients use one Ry derivative, d/dt turning a
-qubit's (cos t, sin t) into (-sin t, cos t), a signed slot swap whose
-transpose goes to the coefficients (`_slot_swaps`), not to phi.  This is
-the only circuit evaluator; the tests check it against dense-matrix
-oracles, and ``qconv gradcheck`` checks its gradients against finite
-differences.  phi depends only on the input, as do `ClassicalConv`'s
-windows, so a fixed set is encoded once through the first convolution
-(`encode`, `Network.encode`) and the `Encoded` value, or any
-mini-batch indexed from it, is forwarded with `forward_encoded`.
+(`_products`; phi fills its own rows, `_trig_features`).  Both gradients
+use one Ry derivative, d/dt turning a qubit's (cos t, sin t) into
+(-sin t, cos t), a signed slot swap whose transpose goes to the
+coefficients (`_slot_swaps`), not to phi.  This is the only circuit
+evaluator; the tests check it against dense-matrix oracles, and
+``qconv gradcheck`` checks its gradients against finite differences.
 
-The three products with phi grow with the window count: forward's
-``C @ phi``, the angle gradient's ``u @ phi.T`` and the input gradient's
-rotated-coefficient product.  `_phi_product` takes each in blocks of
+A convolution's products over windows grow with the window count:
+forward's ``C @ phi``, the parameter gradient's ``u @ phi.T`` and the
+window gradient's product.  `_phi_product` takes each in blocks of
 windows, one BLAS call per block, with M*N*K under `BLAS_ONE_THREAD_SIZE`.
 Numpy's bundled OpenBLAS (0.3.31) runs a dgemm on one thread exactly
 while M*N*K < 2**19 under its Haswell and Prescott kernels (at 5 x 81,
@@ -245,6 +239,8 @@ def _phi_product(a: np.ndarray, phi: np.ndarray, adjoint: bool = False) -> np.nd
     one call."""
     rows, (features, windows) = a.shape[0], phi.shape
     block = max(1, (BLAS_ONE_THREAD_SIZE - 1) // (rows * features))
+    if windows <= block:
+        return a @ phi.T if adjoint else a @ phi
     if adjoint:
         out = a[:, :block] @ phi[:, :block].T
         for start in range(block, windows, block):
@@ -310,12 +306,9 @@ def _gates(ry: np.ndarray, n_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Encoded:
-    """A batch as a convolution's feature map sees it: read-only phi of
-    shape (features, rows, cols, channels, samples), on the layer's output
-    grid, with 3**n trig features per window for `QuantumConv` and the m*n
-    window values for `ClassicalConv`.  Indexing takes samples, by slice or
-    index array, into one C-contiguous copy, so ``inputs[idx]`` is a
-    mini-batch of raw and encoded inputs alike."""
+    """A batch through a convolution's feature map: read-only phi of shape (features, rows,
+    cols, channels, samples).  Indexing takes samples, by slice or index array, into one
+    C-contiguous copy, so ``inputs[idx]`` is a mini-batch of raw and encoded inputs alike."""
 
     phi: np.ndarray
 
@@ -328,7 +321,62 @@ class Encoded:
         return Encoded(np.take(self.phi, np.arange(self.phi.shape[-1])[idx], axis=-1))
 
 
-class QuantumConv:
+class _Conv:
+    """A convolution: filter f's output on window x is ``c_f . phi(x)``, a feature map phi
+    times a coefficient map C, one row per filter, then a ReLU if ``relu``.
+
+    phi is the window values or a subclass's `_features` of them, and depends on the input
+    only: `encode` returns it on the output grid, so a fixed set is encoded once
+    (`Network.encode`) and it, or a mini-batch indexed from it, is forwarded with
+    `forward_encoded`; ``forward(x)`` is ``forward_encoded(encode(x))``.  A subclass builds
+    C from its parameters (`_coefficients`), takes ``dL/dC = u phi^T`` to their gradients
+    (`_param_grads`) and gives the window values' gradient (`_window_grad`), which one
+    `_overlap_add` scatters onto the input.  Each filter applies to each input channel
+    alone: channel c under filter f is output channel ``c * filters + f`` (`_merge_filters`).
+    """
+
+    relu = False
+
+    def __init__(self, window: WindowSpec, filters: int):
+        if filters < 1:
+            raise ValueError(f"filters must be >= 1, got {filters}")
+        self.window = window
+        self.filters = filters
+
+    def out_shape(self, input_shape):
+        return output_shape(input_shape, self.window, self.filters)
+
+    def encode(self, xb: np.ndarray) -> Encoded:
+        return Encoded(self._features(_windows(xb, self.window)))
+
+    def _features(self, win: np.ndarray) -> np.ndarray:
+        return win
+
+    def forward(self, xb: np.ndarray):
+        return self.forward_encoded(self.encode(xb))
+
+    def forward_encoded(self, enc: Encoded):
+        coeffs, cache = self._coefficients()
+        z = _phi_product(coeffs, enc.phi.reshape(len(enc.phi), -1))
+        if self.relu:
+            np.maximum(z, 0.0, out=z)  # backward's z > 0 mask is the same either side of it
+            cache["z"] = z
+        cache.update(phi=enc.phi, coeffs=coeffs)
+        return _merge_filters(z.reshape((self.filters,) + enc.phi.shape[1:])), cache
+
+    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
+        phi = cache["phi"].reshape(len(cache["phi"]), -1)
+        u = _split_filters(upstream, self.filters)
+        if self.relu:
+            u = u * (cache["z"] > 0.0)  # ReLU's subgradient is 0 at 0
+        grads = self._param_grads(_phi_product(u, phi, adjoint=True), cache)
+        if not need_dx:
+            return grads, None
+        dwin = self._window_grad(u, phi, cache).reshape((self.window.area,) + cache["phi"].shape[1:])
+        return grads, _overlap_add(lambda k, cells: dwin[k][cells], self.window, dwin.shape[1:])
+
+
+class QuantumConv(_Conv):
     """Convolution whose feature map is the parametric quantum circuit.
 
     Each output cell is the Z-parity expectation of the circuit run on
@@ -336,25 +384,22 @@ class QuantumConv:
     nonlinearity is applied.  Because the encoding is a product state,
     filter f's cell is exactly the trigonometric polynomial
     ``c_f . phi(x)`` with ``phi(x) = (x)_q (1, cos 2t_q, sin 2t_q)``
-    (3**n entries) and ``c_f[P] = 2**-n Tr(O_f P)`` over
+    (3**n entries, `_trig_features`) and ``c_f[P] = 2**-n Tr(O_f P)`` over
     ``P in {I, Z, X}^n``, where ``O_f = U_f^T Z^n U_f`` is the parity
     observable pulled back through the circuit.
 
-    Forward is one ``C @ Phi`` product over all windows.  The input
-    gradient rotates C by each qubit's slot swap, then multiplies by Phi.
-    The angle gradient is taken in adjoint order: the upstream gradient,
-    contracted with phi and lifted to one matrix per filter, is carried
-    forward through the blocks once; at each block it and the parity
-    observable pulled back to the block's output weight the Ry layer's
-    cos/sin products, which the same slot swap turns into angles.  Both
+    The input gradient rotates C by each qubit's slot swap, then
+    multiplies by Phi.  The angle gradient is taken in adjoint order:
+    ``dL/dC``, lifted to one matrix per filter, is carried forward
+    through the blocks once; at each block it and the parity observable
+    pulled back to the block's output weight the Ry layer's cos/sin
+    products, which the same slot swap turns into angles.  Both
     gradients satisfy the quarter-turn shift rule ``df/dt = f(t + pi/4)
-    - f(t - pi/4)`` exactly, which the tests check.  ``forward(x)`` is
-    ``forward_encoded(encode(x))``.
+    - f(t - pi/4)`` exactly, which the tests check.
     """
 
     def __init__(self, window: WindowSpec, filters: int, depth: int, rng: np.random.Generator):
-        if filters < 1:
-            raise ValueError(f"filters must be >= 1, got {filters}")
+        super().__init__(window, filters)
         if window.area > MAX_WINDOW_QUBITS:
             raise ValueError(
                 f"quantum window {window.height}x{window.width} needs {window.area} qubits; "
@@ -362,8 +407,6 @@ class QuantumConv:
             )
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        self.window = window
-        self.filters = filters
         self.depth = depth
         self.angles = rng.uniform(0.0, 2.0 * np.pi, size=(filters, window.area * depth))
 
@@ -371,19 +414,10 @@ class QuantumConv:
     def params(self) -> list[np.ndarray]:
         return [self.angles]
 
-    def out_shape(self, input_shape):
-        return output_shape(input_shape, self.window, self.filters)
+    def _features(self, win: np.ndarray) -> np.ndarray:
+        return _trig_features(win.reshape(len(win), -1)).reshape((-1,) + win.shape[1:])
 
-    def encode(self, xb: np.ndarray) -> Encoded:
-        """phi of every window of xb; depends on the input only, never on the angles."""
-        win = _windows(xb, self.window)
-        phi = _trig_features(win.reshape(self.window.area, -1))
-        return Encoded(phi.reshape(phi.shape[:1] + win.shape[1:]))
-
-    def forward(self, xb: np.ndarray):
-        return self.forward_encoded(self.encode(xb))
-
-    def forward_encoded(self, enc: Encoded):
+    def _coefficients(self):
         n = self.window.area
         ry = _ry_products(self.angles, n)
         gates = _gates(ry, n)
@@ -395,20 +429,13 @@ class QuantumConv:
             observables[block] = obs
             obs = np.swapaxes(gates[block], -1, -2) @ obs @ gates[block]
         coeffs = obs.reshape(self.filters, -1) @ _pauli_basis(n).T / 2**n  # sum(O * P) = Tr(O P)
-        phi = enc.phi.reshape(3**n, -1)
-        out = _merge_filters(_phi_product(coeffs, phi).reshape((self.filters,) + enc.phi.shape[1:]))
-        cache = {"phi": phi.reshape(enc.phi.shape), "coeffs": coeffs, "ry": ry, "gates": gates,
-                 "observables": observables}
-        return out, cache
+        return coeffs, {"ry": ry, "gates": gates, "observables": observables}
 
-    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
+    def _param_grads(self, dcoeffs: np.ndarray, cache) -> list[np.ndarray]:
         n = self.window.area
-        phi, coeffs, ry = cache["phi"].reshape(3**n, -1), cache["coeffs"], cache["ry"]
-        u = _split_filters(upstream, self.filters)
-
         # sum_w u_fw f_f(x_w) = 2**-n Tr(O_b g_b M_b g_b^T), M_b the upstream-weighted encoded
         # densities carried to block b; its derivative in g_b is 2**(1-n) O_b g_b M_b
-        m = (_phi_product(u, phi, adjoint=True) @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
+        m = (dcoeffs @ _pauli_basis(n)).reshape(self.filters, 2**n, 2**n)
         adjoint = np.empty((self.depth, self.filters, 2**n, 2**n))
         for block, (g, z) in enumerate(zip(cache["gates"], cache["observables"])):
             gm = g @ m
@@ -416,27 +443,24 @@ class QuantumConv:
             m = gm @ np.swapaxes(g, -1, -2)
         # read off per {I, G}^n product, then per angle through the rotated Ry products
         weights = adjoint.reshape(-1, 4**n) @ _gate_basis(n).reshape(2**n, 4**n).T / 2 ** (n - 1)
-        dangles = np.einsum("cqj,jc->cq", _rotated(weights, 2, n), ry.reshape(2**n, -1))
-        dangles = dangles.reshape(self.depth, self.filters, n).swapaxes(0, 1).reshape(self.angles.shape)
+        dangles = np.einsum("cqj,jc->cq", _rotated(weights, 2, n), cache["ry"].reshape(2**n, -1))
+        return [dangles.reshape(self.depth, self.filters, n).swapaxes(0, 1).reshape(self.angles.shape)]
 
-        dx = None
-        if need_dx:
-            # rotate the coefficients, not the 3**n x windows features; d(2t)/dt = 2
-            rotated = _rotated(2.0 * coeffs, 3, n).reshape(-1, 3**n)
-            dphi = _phi_product(rotated, phi).reshape(self.filters, n, -1)
-            dwin = np.einsum("fqw,fw->qw", dphi, u).reshape((n,) + cache["phi"].shape[1:])
-            dx = _overlap_add(lambda k, cells: dwin[k][cells], self.window, dwin.shape[1:])
-        return [dangles], dx
+    def _window_grad(self, u: np.ndarray, phi: np.ndarray, cache) -> np.ndarray:
+        n = self.window.area
+        # rotate the coefficients, not the 3**n x windows features; d(2t)/dt = 2
+        rotated = _rotated(2.0 * cache["coeffs"], 3, n).reshape(-1, 3**n)
+        dphi = _phi_product(rotated, phi).reshape(self.filters, n, -1)
+        return np.einsum("fqw,fw->qw", dphi, u)
 
 
-class ClassicalConv:
-    """Plain linear convolution, one m x n weight array per filter, no bias."""
+class ClassicalConv(_Conv):
+    """Plain linear convolution, one m x n weight array per filter, no bias, then a ReLU."""
+
+    relu = True
 
     def __init__(self, window: WindowSpec, filters: int, rng: np.random.Generator):
-        if filters < 1:
-            raise ValueError(f"filters must be >= 1, got {filters}")
-        self.window = window
-        self.filters = filters
+        super().__init__(window, filters)
         bound = np.sqrt(6.0 / (window.area + filters))
         self.weights = rng.uniform(-bound, bound, size=(filters, window.height, window.width))
 
@@ -444,34 +468,14 @@ class ClassicalConv:
     def params(self) -> list[np.ndarray]:
         return [self.weights]
 
-    def out_shape(self, input_shape):
-        return output_shape(input_shape, self.window, self.filters)
+    def _coefficients(self):
+        return self.weights.reshape(self.filters, -1), {}
 
-    def encode(self, xb: np.ndarray) -> Encoded:
-        """The windows of xb, the identity feature map; they depend on the input only."""
-        return Encoded(_windows(xb, self.window))
+    def _param_grads(self, dcoeffs: np.ndarray, cache) -> list[np.ndarray]:
+        return [dcoeffs.reshape(self.weights.shape)]
 
-    def forward(self, xb: np.ndarray):
-        return self.forward_encoded(self.encode(xb))
-
-    def forward_encoded(self, enc: Encoded):
-        win = enc.phi
-        # one 2-D product; @ on the 5-D stack would run a batch of tiny products
-        z = self.weights.reshape(self.filters, -1) @ win.reshape(self.window.area, -1)
-        np.maximum(z, 0.0, out=z)  # ReLU; backward's z > 0 mask is the same either side of it
-        out = _merge_filters(z.reshape((-1,) + win.shape[1:]))
-        cache = {"win": win, "z": z}
-        return out, cache
-
-    def backward(self, upstream: np.ndarray, cache, need_dx: bool = True):
-        win, z = cache["win"], cache["z"]
-        u = _split_filters(upstream, self.filters) * (z > 0.0)  # ReLU's subgradient is 0 at 0
-        dw = (u @ win.reshape(self.window.area, -1).T).reshape(self.weights.shape)
-        dx = None
-        if need_dx:
-            dwin = (self.weights.reshape(self.filters, -1).T @ u).reshape(win.shape)
-            dx = _overlap_add(lambda k, cells: dwin[k][cells], self.window, win.shape[1:])
-        return [dw], dx
+    def _window_grad(self, u: np.ndarray, phi: np.ndarray, cache) -> np.ndarray:
+        return _phi_product(cache["coeffs"].T, u)
 
 
 class MaxPool:
@@ -590,7 +594,7 @@ class Network:
     def encode(self, images: np.ndarray):
         """The images as the first layer takes them: `Encoded` for a convolution."""
         first = self.layers[0]
-        return first.encode(images) if hasattr(first, "encode") else images
+        return first.encode(images) if isinstance(first, _Conv) else images
 
     def forward_batch(self, xb):
         """Forward a raw batch or one made by `encode` (or indexed from it)."""

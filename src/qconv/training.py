@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (ClassicalConv, Dense, MaxPool, Network, QuantumConv, WindowSpec, mse_loss_batch,
-                     output_shape)
+from .layers import ClassicalConv, Dense, MaxPool, Network, QuantumConv, WindowSpec, mse_loss_batch
 from .tetris import GRID, Dataset, filter_labels, generate_dataset, split
 
 INPUT_SHAPE = (GRID, GRID, 1)
@@ -241,11 +240,8 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
             )
         if labels not in LABEL_CHOICES:
             raise ValueError(f"labels must be one of {LABEL_CHOICES}, got {labels}")
-    # both architectures start with a CONV_WINDOW convolution, which encodes every image's
-    # windows as 3**n trig features (qccnn) or the n window values (cnn), 8 bytes each
-    features = max(3**CONV_WINDOW.area if model == "qccnn" else CONV_WINDOW.area
-                   for model, _, _ in combinations)
-    encoded = 8 * features * int(np.prod(output_shape(INPUT_SHAPE, CONV_WINDOW))) * n_images
+    encoded = n_images * max(build_network(*c, 0).encode(np.zeros((1,) + INPUT_SHAPE)).phi.nbytes
+                             for c in combinations)
     if encoded > MAX_ENCODED_BYTES:
         raise ValueError(f"{n_images} images: the first layer's encoded training and test sets "
                          f"would take {encoded / 2**30:.2f} GiB, over the "

@@ -341,6 +341,38 @@ def test_phi_product_blocks_windows_under_the_blas_thread_bound(rows, adjoint):
             assert left[0] * left[1] * right[1] < bound
 
 
+def test_classical_conv_blocks_windows_under_the_blas_thread_bound():
+    """A 5-filter ClassicalConv over more windows than one `_phi_product` block keeps every
+    product under the bound, and its outputs and gradients those of unblocked products."""
+    bound = layers_module.BLAS_ONE_THREAD_SIZE
+    rng = np.random.default_rng(44)
+    layer = ClassicalConv(WIN, filters=5, rng=rng)
+    x = rng.uniform(-1.0, 1.0, (6600, 3, 3, 1))
+    windows = 4 * len(x)
+    assert windows > (bound - 1) // (5 * 4)  # more than one block of windows
+    w = layer.weights.reshape(5, 4)
+    layer.weights = layer.weights.view(MatmulShapes)
+    MatmulShapes.calls = []
+    out, cache = layer.forward_encoded(layers_module.Encoded(layer.encode(x).phi.view(MatmulShapes)))
+    upstream = rng.standard_normal(out.shape)
+    (dw,), dx = layer.backward(upstream, cache)
+    for left, right in MatmulShapes.calls:
+        assert left[0] * left[1] * right[1] < bound
+    assert len(MatmulShapes.calls) == 3 * 2  # forward, weight and window gradients, 2 blocks each
+    for s in range(len(x)):
+        np.testing.assert_allclose(out[s], oracles.naive_conv(x[s], w.reshape(5, 2, 2)), atol=1e-12)
+
+    # within 1e-15 of the summed terms' magnitude, as in the `_phi_product` test above
+    phi = _windows(x, WIN).reshape(4, windows)
+    u = upstream.transpose(3, 1, 2, 0).reshape(5, windows) * (w @ phi > 0.0)  # channel f is filter f
+    assert np.abs(dw.reshape(5, 4) - u @ phi.T).max() <= 1e-15 * (np.abs(u) @ np.abs(phi.T)).max()
+
+    def scatter(dwin):
+        return _overlap_add(lambda k, cells: dwin.reshape(4, 2, 2, 1, -1)[k][cells], WIN, (2, 2, 1, len(x)))
+
+    assert np.abs(dx - scatter(w.T @ u)).max() <= 1e-15 * scatter(np.abs(w.T) @ np.abs(u)).max()
+
+
 def count_trig_features(monkeypatch) -> list:
     """Route `_trig_features` through a counter; the list's length is the call count."""
     calls, original = [], layers_module._trig_features
@@ -465,16 +497,19 @@ def test_encoded_mini_batch_is_one_contiguous_copy(model):
     batch = enc[np.arange(40) * 2]
     assert batch.phi.flags.c_contiguous and not batch.phi.flags.writeable
     _, cache = layer.forward_encoded(batch)
-    assert np.shares_memory(cache["phi" if model == "qccnn" else "win"], batch.phi)
+    assert np.shares_memory(cache["phi"], batch.phi)
 
 
 def test_quantum_conv_keeps_no_state_between_calls():
-    net = build_network("qccnn", "two-layer", 5, seed=35)
+    # and ClassicalConv: neither caches anything on the layer
     x = np.random.default_rng(36).random((3, 3, 3, 1))
-    net.forward_batch(x)
-    net.forward_batch(net.encode(x))
-    for layer in net.layers[:2]:
-        assert set(vars(layer)) == {"window", "filters", "depth", "angles"}
+    for model, attributes in (("qccnn", {"window", "filters", "depth", "angles"}),
+                              ("cnn", {"window", "filters", "weights"})):
+        net = build_network(model, "two-layer", 5, seed=35)
+        net.forward_batch(x)
+        net.forward_batch(net.encode(x))
+        for layer in net.layers[:2]:
+            assert set(vars(layer)) == attributes
 
 
 def train_one_layer_on_80_images(model: str, batch_size: int) -> tuple:
