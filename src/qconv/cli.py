@@ -15,7 +15,8 @@ Settings resolve in precedence order: built-in defaults, then a
 unknown keys rejected), then command-line flags.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error
-(divergence, out of memory), 3 I/O error.
+(divergence, out of memory, a training worker process that died),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import json
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -421,6 +423,9 @@ def main(argv=None) -> int:
         return 1
     except TrainingDivergedError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenExecutor as exc:  # e.g. a worker that the out-of-memory killer ended
+        print(f"runtime error: a training worker process died: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's allocation failures included
         print(f"runtime error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

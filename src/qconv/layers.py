@@ -293,13 +293,9 @@ def _ry_products(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     return _products(np.stack((np.cos(t), np.sin(t)), axis=1))
 
 
-def _block_gates(angles: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Ladder times Ry layer for every block and filter: (depth, filters, dim, dim)."""
-    return _gates(_ry_products(angles, n_qubits), n_qubits)
-
-
 def _gates(ry: np.ndarray, n_qubits: int) -> np.ndarray:
-    """`_block_gates` from the `_ry_products`, (2**n, depth, filters), as one 2-D product."""
+    """Ladder times Ry layer for every block and filter, (depth, filters, dim, dim), from the
+    `_ry_products`, (2**n, depth, filters), as one 2-D product."""
     gates = ry.reshape(2**n_qubits, -1).T @ _gate_basis(n_qubits).reshape(2**n_qubits, -1)
     return gates.reshape(ry.shape[1:] + (2**n_qubits,) * 2)
 

@@ -3,13 +3,16 @@
 An experiment seed drives dataset generation, the 80/20 split, and
 parameter initialisation through three child seeds derived with
 numpy's SeedSequence, so repeating a seed list reproduces every number
-exactly.  Seeds run one after another, in the order given; every
-combination trained on a seed shares that seed's data.
+exactly.  Seeds train in forked worker processes, one per CPU
+and at most one per seed, and their results are gathered in the order
+given; every combination trained on a seed shares that seed's data.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,7 @@ DEFAULT_SEEDS = tuple(range(10))
 
 # Largest first-layer encoding of a run's training and test sets, in bytes, that
 # `run_experiments` builds; a larger run fails at once instead of part way through
-# exhausting memory.
+# exhausting memory.  It also caps the worker processes, each encoding one seed.
 MAX_ENCODED_BYTES = 2 * 2**30
 
 
@@ -221,16 +224,74 @@ def seed_children(seed: int) -> tuple[int, int, int]:
     return int(a), int(b), int(c)
 
 
+def _named(exc: Exception, seed: int, model: str, architecture: str, labels: int) -> Exception:
+    return type(exc)(f"{model} {architecture} {labels}-label, seed {seed}: {exc}")
+
+
+def _train_seed(combinations, sets: dict[int, tuple[Dataset, Dataset]], seed: int,
+                config: TrainConfig) -> list[list[MetricsRecord]]:
+    """Every combination on one seed's sets, in order: one worker process's task."""
+    init_seed = seed_children(seed)[2]
+    runs = []
+    for combination in combinations:
+        net = build_network(*combination, init_seed)
+        try:
+            runs.append(train(net, *sets[combination[2]], config))
+        except (TrainingDivergedError, ValueError) as exc:
+            raise _named(exc, seed, *combination) from exc
+    return runs
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _train_seeds(combinations, all_sets: list, config: TrainConfig, workers: int,
+                 on_seed) -> list[list[list[MetricsRecord]]]:
+    """`_train_seed` for each seed and its sets, in seed order, on up to ``workers``
+    processes, forked so that they inherit the imports and warm caches.  At most
+    ``workers`` seeds are submitted at once, so ``on_seed`` runs as a seed starts."""
+    seeds = list(enumerate(zip(config.seeds, all_sets)))  # (index, (seed, sets))
+    results = []
+    if workers > 1:
+        # imported here: ~2 MB of modules that in-process training never loads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for index, (seed, sets) in seeds:
+            if on_seed is not None:
+                on_seed(index, seed)
+            results.append(_train_seed(combinations, sets, seed, config))
+        return results
+    pending = deque()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for index, (seed, sets) in seeds:
+            if len(pending) == workers:
+                results.append(pending.popleft().result())
+            if on_seed is not None:
+                on_seed(index, seed)
+            pending.append(pool.submit(_train_seed, combinations, sets, seed, config))
+        results.extend(future.result() for future in pending)
+    return results
+
+
 def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
                     on_seed=None) -> dict[tuple[str, str, int], ExperimentResult]:
     """Train each (model, architecture, labels) combination over all seeds.
 
-    Seeds run one after another.  Each seed's dataset, split and 2-label
-    filter are built once, for every seed before the first trains, and
-    shared by every combination the seed trains, so a run with an empty set
-    is refused before any training.  A run whose first-layer encoding would
-    exceed `MAX_ENCODED_BYTES` is refused before any data is built.
-    ``on_seed(index, seed)``, if given, is called before each seed trains.
+    Each seed's dataset, split and 2-label filter are built once, for every
+    seed before the first trains, and shared by every combination the seed
+    trains, so a run with an empty set is refused before any training.  A
+    run whose first-layer encoding would exceed `MAX_ENCODED_BYTES` is
+    refused before any data is built.  Seeds train in forked processes, at
+    most one per CPU, seed and encoding that `MAX_ENCODED_BYTES` holds, or
+    in this one; no number depends on the count.  Of several failing seeds
+    the first raises.  ``on_seed(index, seed)``, if given, is called in seed
+    order just before each seed trains.
     """
     combinations = tuple(dict.fromkeys(combinations))
     for model, architecture, labels in combinations:
@@ -247,9 +308,6 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
                          f"would take {encoded / 2**30:.2f} GiB, over the "
                          f"{MAX_ENCODED_BYTES / 2**30:g} GiB limit")
 
-    def named(exc: Exception, seed: int, model: str, architecture: str, labels: int) -> Exception:
-        return type(exc)(f"{model} {architecture} {labels}-label, seed {seed}: {exc}")
-
     def seed_sets(seed: int) -> dict[int, tuple[Dataset, Dataset]]:
         ds_seed, split_seed, _ = seed_children(seed)
         train_set, test_set = split(generate_dataset(n_images, ds_seed), 0.8, split_seed)
@@ -261,21 +319,12 @@ def run_experiments(combinations, config: TrainConfig, n_images: int = 1000,
             try:
                 _check_not_empty(*sets[combination[2]])
             except ValueError as exc:  # e.g. a 2-label filter of a few images
-                raise named(exc, seed, *combination) from exc
+                raise _named(exc, seed, *combination) from exc
         return sets
 
     # about 72 KB per 1,000 images and seed, so every seed's sets are kept from the start
     all_sets = [seed_sets(seed) for seed in config.seeds]
-    per_seed: dict[tuple[str, str, int], list] = {c: [] for c in combinations}
-    for index, (seed, sets) in enumerate(zip(config.seeds, all_sets)):
-        if on_seed is not None:
-            on_seed(index, seed)
-        init_seed = seed_children(seed)[2]
-        for combination in combinations:
-            net = build_network(*combination, init_seed)
-            try:
-                per_seed[combination].append(train(net, *sets[combination[2]], config))
-            except (TrainingDivergedError, ValueError) as exc:
-                raise named(exc, seed, *combination) from exc
-    return {combination: ExperimentResult(tuple(config.seeds), runs)
-            for combination, runs in per_seed.items()}
+    workers = min(_cpu_count(), len(config.seeds), max(1, MAX_ENCODED_BYTES // max(encoded, 1)))
+    per_seed = _train_seeds(combinations, all_sets, config, workers, on_seed)
+    return {combination: ExperimentResult(tuple(config.seeds), list(runs))
+            for combination, runs in zip(combinations, zip(*per_seed))}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qconv.cli import main
-from qconv.layers import Dense, MaxPool, Network, QuantumConv, WindowSpec, _block_gates
+from qconv.layers import Dense, MaxPool, Network, QuantumConv, WindowSpec, _gates, _ry_products
 from qconv.tetris import enumerate_configurations, generate_dataset
 from qconv.training import TrainConfig, build_network, run_experiments
 
@@ -77,7 +77,7 @@ def test_criterion_2_circuit_oracle_equivalence():
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         amps /= np.linalg.norm(amps)
         got = amps
-        for gate in _block_gates(params[None], n):
+        for gate in _gates(_ry_products(params[None], n), n):
             got = gate[0] @ got
         want = oracles.circuit_unitary(n, params) @ amps
         worst = max(worst, float(np.max(np.abs(got - want))))

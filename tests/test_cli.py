@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -405,6 +407,87 @@ def test_repro_divergence_names_the_run(tmp_path, capsys):
         "runtime error: qccnn one-layer 2-label, seed 0: "
         "non-finite evaluation loss at iteration 2\n"
     )
+    assert multiprocessing.active_children() == []  # a failed run leaves no worker behind
+
+
+def use_cpus(monkeypatch, count):
+    """Make `run_experiments` find ``count`` CPUs, so it forks at most that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def record_trainers(monkeypatch, path):
+    """Make every `training.train` call append the id of the process it runs in to ``path``."""
+    original = training.train
+
+    def train(*args):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args)
+
+    monkeypatch.setattr(training, "train", train)
+
+
+def read_trainers(path):
+    trainers = set(path.read_text().split())
+    path.unlink()
+    return trainers
+
+
+def test_repro_is_byte_identical_with_one_and_two_workers(tmp_path, monkeypatch):
+    pids = tmp_path / "pids"
+    record_trainers(monkeypatch, pids)
+    results, run_experiments = [], training.run_experiments
+
+    def recorded(*args):  # the panels hold only seed means, so compare every seed's runs too
+        results.append(run_experiments(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_experiments", recorded)
+    panels, trainers = {}, {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main(["repro", "--out-dir", str(out), *REPRO_FLAGS]) == 0
+        assert multiprocessing.active_children() == []
+        panels[cpus] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        trainers[cpus] = read_trainers(pids)
+    assert len(panels[1]) == 4
+    assert panels[1] == panels[2]
+    assert results[0] == results[1]
+    assert trainers[1] == {str(os.getpid())}
+    assert trainers[2] and str(os.getpid()) not in trainers[2]
+
+
+@pytest.mark.parametrize("limit, forked", [(1.5, False), (2.0, True)])
+def test_workers_are_capped_by_the_encoding_limit(tmp_path, monkeypatch, limit, forked):
+    # two CPUs and two seeds, but the encoding limit holds one seed's encoding, or two
+    use_cpus(monkeypatch, 2)
+    net = training.build_network("qccnn", "one-layer", 2, 0)
+    estimate = 30 * net.encode(np.zeros((1,) + training.INPUT_SHAPE)).phi.nbytes
+    monkeypatch.setattr(training, "MAX_ENCODED_BYTES", int(limit * estimate))
+    pids = tmp_path / "pids"
+    record_trainers(monkeypatch, pids)
+    command = ["train", "--images", "30", "--iterations", "2", "--seeds", "2"]
+    assert main([*command, "--out-dir", str(tmp_path)]) == 0
+    trainers = read_trainers(pids)
+    assert (str(os.getpid()) not in trainers) if forked else trainers == {str(os.getpid())}
+
+
+@pytest.mark.skipif(training._cpu_count() < 2, reason="on one CPU every seed trains in-process")
+def test_killed_worker_is_runtime_error(tmp_path, monkeypatch, capsys):
+    parent, original = os.getpid(), training.train
+
+    def train(*args):
+        if os.getpid() != parent:  # as the kernel's out-of-memory killer would
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args)
+
+    monkeypatch.setattr(training, "train", train)
+    assert main(["repro", "--out-dir", str(tmp_path), *REPRO_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: a training worker process died: ")
+    assert err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command, err", [

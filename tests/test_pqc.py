@@ -11,9 +11,10 @@ import pytest
 from qconv.layers import (
     QuantumConv,
     WindowSpec,
-    _block_gates,
+    _gates,
     _ladder_permutation,
     _parity,
+    _ry_products,
     _trig_features,
 )
 
@@ -34,7 +35,8 @@ def on_one_window(params, window):
 def circuit_matrix(n_qubits, params):
     """Product of the layer's block gates: the whole circuit as one matrix."""
     matrix = np.eye(2**n_qubits)
-    for gate in _block_gates(np.asarray(params, dtype=float).reshape(1, -1), n_qubits):
+    angles = np.asarray(params, dtype=float).reshape(1, -1)
+    for gate in _gates(_ry_products(angles, n_qubits), n_qubits):
         matrix = gate[0] @ matrix
     return matrix
 
@@ -60,7 +62,7 @@ def test_benchmark_circuit_counts():
 def test_depth_zero_circuit_is_empty():
     layer = QuantumConv(WindowSpec(2, 2), 1, 0, np.random.default_rng(0))
     assert layer.angles.shape == (1, 0)
-    assert _block_gates(layer.angles, 4).shape == (0, 1, 16, 16)
+    assert _gates(_ry_products(layer.angles, 4), 4).shape == (0, 1, 16, 16)
 
 
 def test_small_circuit_counts():
@@ -124,17 +126,17 @@ def test_zero_angles_leave_only_the_cnot_ladders():
         ladder = np.eye(2**n)
         for i in range(n - 1):
             ladder = oracles.cnot_matrix(i, i + 1, n).real @ ladder
-        for gate in _block_gates(np.zeros((1, 2 * n)), n):
+        for gate in _gates(_ry_products(np.zeros((1, 2 * n)), n), n):
             np.testing.assert_array_equal(gate[0], ladder)
 
 
 def test_block_gates_treat_each_filter_row_independently():
     rng = np.random.default_rng(19)
     angles = rng.uniform(0, 2 * np.pi, (6, 6))
-    got = _block_gates(angles, 3)
+    got = _gates(_ry_products(angles, 3), 3)
     for row in range(6):
-        np.testing.assert_allclose(got[:, row], _block_gates(angles[row : row + 1], 3)[:, 0],
-                                   atol=1e-15)
+        alone = _gates(_ry_products(angles[row : row + 1], 3), 3)
+        np.testing.assert_allclose(got[:, row], alone[:, 0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
