@@ -95,10 +95,7 @@ class ExperimentConfig(TrainConfig):
                 raise ConfigError(f"{name}: expected one of {choices}, got {getattr(self, name)!r}")
         if self.images < 2:
             raise ConfigError(f"images: need at least 2, got {self.images}")
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        super().__post_init__()
 
 
 # Config-file key -> parser of its text: the field default's type, or parse_seeds.
@@ -150,20 +147,33 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_metrics_csv(path: Path, result: ExperimentResult) -> None:
     """Per-seed and mean series, 17 significant digits, stable schema."""
     prefixes = [f"seed{seed}" for seed in result.seeds] + ["mean"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration"] + [f"{p}_{m}" for p in prefixes for m in _SERIES])
-        for i, mean in enumerate(result.mean):
-            records = [run[i] for run in result.per_seed] + [mean]
-            writer.writerow([str(mean.iteration)] + [_fmt(getattr(r, m)) for r in records for m in _SERIES])
+    _write_csv(path, ["iteration"] + [f"{p}_{m}" for p in prefixes for m in _SERIES],
+               ([records[-1].iteration] + [_fmt(getattr(r, m)) for r in records for m in _SERIES]
+                for records in zip(*result.per_seed, result.mean)))
 
 
 def _final_summary(result: ExperimentResult) -> dict:
     final = result.mean[-1]
     return {"iteration": final.iteration, **{f"mean_{m}": getattr(final, m) for m in _SERIES}}
+
+
+def _write_summary(path: Path, config: ExperimentConfig, started: float, **entries) -> float:
+    """The config, ``entries`` and the wall time since ``started`` as indented JSON;
+    returns that wall time."""
+    wall = time.perf_counter() - started
+    summary = {"config": asdict(config), **entries, "wall_time_seconds": wall}
+    path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    return wall
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -192,17 +202,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     combination = (config.model, config.architecture, config.labels)
     result = run_experiments([combination], config, config.images)[combination]
-    wall = time.perf_counter() - started
     stem = f"{config.model}_{config.architecture}_{config.labels}label"
     csv_path = out_dir / f"metrics_{stem}.csv"
     write_metrics_csv(csv_path, result)
-    summary = {
-        "config": asdict(config),
-        "final": _final_summary(result),
-        "wall_time_seconds": wall,
-    }
     json_path = out_dir / f"summary_{stem}.json"
-    json_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    wall = _write_summary(json_path, config, started, final=_final_summary(result))
     final = result.mean[-1]
     print(f"{stem}: final mean test accuracy {final.test_accuracy:.4f}, "
           f"mean test loss {final.test_loss:.6f} ({wall:.1f}s)")
@@ -305,21 +309,16 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
     results = run_experiments(combinations, config, config.images, progress)
 
+    columns = [(m, a) for m in ("cnn", "qccnn") for a in ARCHITECTURES]
     written = []
     for panel in panels:
         metric, labels = PANELS[panel]
         path = out_dir / f"panel_{panel}_{metric}_{labels}label.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            columns = [(m, a) for m in ("cnn", "qccnn") for a in ARCHITECTURES]
-            writer.writerow(["iteration"] + [f"{m}_{a.replace('-', '_')}" for m, a in columns])
-            series = [results[(m, a, labels)].mean for m, a in columns]
-            for i in range(len(series[0])):
-                row = [str(series[0][i].iteration)]
-                for mean in series:
-                    value = mean[i].test_accuracy if metric == "accuracy" else mean[i].train_loss
-                    row.append(_fmt(value))
-                writer.writerow(row)
+        series = "test_accuracy" if metric == "accuracy" else "train_loss"
+        means = [results[(m, a, labels)].mean for m, a in columns]
+        _write_csv(path, ["iteration"] + [f"{m}_{a.replace('-', '_')}" for m, a in columns],
+                   ([points[0].iteration] + [_fmt(getattr(p, series)) for p in points]
+                    for points in zip(*means)))
         written.append(path)
         print(f"wrote {path}")
 
@@ -338,18 +337,10 @@ def cmd_repro(args: argparse.Namespace) -> int:
     if not reproduced:
         print("reproduction discrepancy: QCCNN final loss is not below the CNN baseline "
               "for every pair under this seed set")
-    summary = {
-        "config": asdict(config),
-        "panels": [str(p) for p in written],
-        "runs": {
-            f"{m}_{a}_{l}label": _final_summary(r) for (m, a, l), r in sorted(results.items())
-        },
-        "loss_ordering": loss_ordering,
-        "loss_ordering_reproduced": reproduced,
-        "wall_time_seconds": time.perf_counter() - started,
-    }
     summary_path = out_dir / "repro_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    runs = {f"{m}_{a}_{l}label": _final_summary(r) for (m, a, l), r in sorted(results.items())}
+    _write_summary(summary_path, config, started, panels=[str(p) for p in written], runs=runs,
+                   loss_ordering=loss_ordering, loss_ordering_reproduced=reproduced)
     print(f"wrote {summary_path}")
     return 0
 

@@ -323,8 +323,8 @@ class _Conv:
 
     phi is the window values or a subclass's `_features` of them, and depends on the input
     only: `encode` returns it on the output grid, so a fixed set is encoded once
-    (`Network.encode`) and it, or a mini-batch indexed from it, is forwarded with
-    `forward_encoded`; ``forward(x)`` is ``forward_encoded(encode(x))``.  A subclass builds
+    (`Network.encode`) and it, or a mini-batch indexed from it, is forwarded as it is;
+    `forward` encodes a raw batch first.  A subclass builds
     C from its parameters (`_coefficients`), takes ``dL/dC = u phi^T`` to their gradients
     (`_param_grads`) and gives the window values' gradient (`_window_grad`), which one
     `_overlap_add` scatters onto the input.  Each filter applies to each input channel
@@ -348,10 +348,8 @@ class _Conv:
     def _features(self, win: np.ndarray) -> np.ndarray:
         return win
 
-    def forward(self, xb: np.ndarray):
-        return self.forward_encoded(self.encode(xb))
-
-    def forward_encoded(self, enc: Encoded):
+    def forward(self, x: np.ndarray | Encoded):
+        enc = x if isinstance(x, Encoded) else self.encode(x)
         coeffs, cache = self._coefficients()
         z = _phi_product(coeffs, enc.phi.reshape(len(enc.phi), -1))
         if self.relu:
@@ -593,11 +591,10 @@ class Network:
         return first.encode(images) if isinstance(first, _Conv) else images
 
     def forward_batch(self, xb):
-        """Forward a raw batch or one made by `encode` (or indexed from it)."""
-        first, *rest = self.layers
-        out, cache = first.forward_encoded(xb) if isinstance(xb, Encoded) else first.forward(xb)
-        caches = [cache]
-        for layer in rest:
+        """Forward a raw batch or one made by `encode` (or indexed from it): the first
+        layer takes either."""
+        out, caches = xb, []
+        for layer in self.layers:
             out, cache = layer.forward(out)
             caches.append(cache)
         return out, caches

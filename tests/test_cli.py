@@ -385,6 +385,20 @@ def test_repro_all_panels_and_summary(tmp_path, capsys):
     assert "seed 1 (2/2): 8 combinations, 4 iterations..." in printed
 
 
+def test_summaries_keep_their_key_order(tmp_path):
+    # both summaries come from one writer: the config first, the wall time last
+    flags = ["--images", "30", "--iterations", "2", "--eval-every", "2", "--seeds", "1"]
+    assert main(["train", "--model", "cnn", "--out-dir", str(tmp_path), *flags]) == 0
+    assert main(["repro", "--panel", "a", "--out-dir", str(tmp_path), *flags]) == 0
+    train_summary = json.loads((tmp_path / "summary_cnn_one-layer_2label.json").read_text())
+    repro_summary = json.loads((tmp_path / "repro_summary.json").read_text())
+    assert list(train_summary) == ["config", "final", "wall_time_seconds"]
+    assert list(repro_summary) == ["config", "panels", "runs", "loss_ordering",
+                                   "loss_ordering_reproduced", "wall_time_seconds"]
+    assert train_summary["wall_time_seconds"] > 0
+    assert repro_summary["wall_time_seconds"] > 0
+
+
 def test_repro_builds_each_seeds_data_once(tmp_path, monkeypatch):
     calls = {"generate_dataset": 0, "split": 0, "filter_labels": 0}
     for name in calls:

@@ -353,7 +353,7 @@ def test_classical_conv_blocks_windows_under_the_blas_thread_bound():
     w = layer.weights.reshape(5, 4)
     layer.weights = layer.weights.view(MatmulShapes)
     MatmulShapes.calls = []
-    out, cache = layer.forward_encoded(layers_module.Encoded(layer.encode(x).phi.view(MatmulShapes)))
+    out, cache = layer.forward(layers_module.Encoded(layer.encode(x).phi.view(MatmulShapes)))
     upstream = rng.standard_normal(out.shape)
     (dw,), dx = layer.backward(upstream, cache)
     for left, right in MatmulShapes.calls:
@@ -434,7 +434,7 @@ def test_quantum_conv_forward_of_encoded_mini_batch_matches_raw_forward():
     enc = layer.encode(x)
     assert enc.phi.shape == (81, 2, 2, 2, 6)
     for idx in (np.arange(6), np.array([4, 5, 0, 1]), np.array([2])):
-        got, cache = layer.forward_encoded(enc[idx])
+        got, cache = layer.forward(enc[idx])
         want, want_cache = layer.forward(x[idx])
         assert got.tobytes() == want.tobytes()
         assert cache["phi"].shape == want_cache["phi"].shape == (81, 2, 2, 2, len(idx))
@@ -483,7 +483,7 @@ def test_encoded_mini_batch_forwards_like_the_raw_rows(which, samples, data, see
     idx = data.draw(st.one_of(
         st.lists(st.integers(0, samples - 1), min_size=1, max_size=2 * samples).map(np.array),
         st.slices(samples).filter(lambda sl: len(range(samples)[sl]) > 0)))
-    got, _ = layer.forward_encoded(layer.encode(x)[idx])
+    got, _ = layer.forward(layer.encode(x)[idx])
     want, _ = layer.forward(x[idx])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -496,7 +496,7 @@ def test_encoded_mini_batch_is_one_contiguous_copy(model):
     enc = layer.encode(np.random.default_rng(43).random((80, 3, 3, 1)))
     batch = enc[np.arange(40) * 2]
     assert batch.phi.flags.c_contiguous and not batch.phi.flags.writeable
-    _, cache = layer.forward_encoded(batch)
+    _, cache = layer.forward(batch)
     assert np.shares_memory(cache["phi"], batch.phi)
 
 

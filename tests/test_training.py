@@ -276,9 +276,17 @@ def test_seed_outer_experiments_equal_each_combination_alone():
 
 def test_run_experiments_checks_every_combination_before_training(monkeypatch):
     monkeypatch.setattr("qconv.training.train", lambda *args: pytest.fail("trained"))
+    monkeypatch.setattr("qconv.training.generate_dataset", lambda *args: pytest.fail("built data"))
     config = TrainConfig(iterations=1, seeds=(0,))
     with pytest.raises(ValueError, match="labels must be one of"):
         run_experiments([("cnn", "one-layer", 2), ("cnn", "one-layer", 3)], config)
+    with pytest.raises(ValueError) as bad_model:
+        run_experiments([("cnn", "one-layer", 2), ("qnn", "one-layer", 2)], config)
+    assert str(bad_model.value) == "model must be one of ('qccnn', 'cnn'), got 'qnn'"
+    with pytest.raises(ValueError) as bad_architecture:
+        run_experiments([("cnn", "one-layer", 2), ("cnn", "three-layer", 5)], config)
+    assert str(bad_architecture.value) == (
+        "architecture must be one of ('one-layer', 'two-layer'), got 'three-layer'")
 
 
 def test_seed_children_are_stable():
